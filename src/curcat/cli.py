@@ -8,7 +8,8 @@ manifest). All JSON output is emitted with sorted keys and fixed indentation,
 so repeated runs are byte-identical.
 
 Exit codes: 0 when every check in the invocation passed, 1 when a check
-failed, 2 for input errors (parse errors, bad flags, malformed files).
+failed or a solved system is inconsistent, 2 for input errors (parse errors,
+bad flags such as a negative degree bound, malformed files).
 """
 from __future__ import annotations
 
@@ -58,6 +59,8 @@ from curcat.lie import (
     dual_natural_module,
     gl_object,
     natural_module,
+    report_entry,
+    report_passed,
     trivial_module,
     unoriented_so_object,
 )
@@ -86,18 +89,25 @@ class RunConfig:
     input: str | None = None
 
     def effective_n(self, file_value=None) -> int:
-        if self.n is not None:
-            return self.n
-        if file_value is not None:
-            return int(file_value)
-        return 2
+        return _resolve(self.n, file_value, "n")
 
     def effective_degree_bound(self, file_value=None) -> int:
-        if self.degree_bound is not None:
-            return self.degree_bound
-        if file_value is not None:
-            return int(file_value)
+        bound = _resolve(self.degree_bound, file_value, "degree_bound")
+        if bound < 0:
+            raise CliError(f"the degree bound must be nonnegative, not {bound}")
+        return bound
+
+
+def _resolve(flag: int | None, file_value, key: str) -> int:
+    """The flag if given, else the file value, else 2."""
+    if flag is not None:
+        return flag
+    if file_value is None:
         return 2
+    try:
+        return int(file_value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise CliError(f"{key} must be an integer, not {file_value!r}") from exc
 
 
 def _dump(obj) -> str:
@@ -196,35 +206,17 @@ def _suite_equivariant(cfg: RunConfig) -> list[dict]:
             for i, p in enumerate(projectors)
             for j, q in enumerate(projectors)
         )
-        entries.append(
-            {
-                "context": context,
-                "identity": "projectors-sum-to-identity",
-                "status": "pass" if complete else "fail",
-            }
+        checks = (
+            ("projectors-sum-to-identity", complete),
+            ("projectors-orthogonal-idempotents", orthogonal),
         )
-        entries.append(
-            {
-                "context": context,
-                "identity": "projectors-orthogonal-idempotents",
-                "status": "pass" if orthogonal else "fail",
-            }
-        )
+        entries.extend({"context": context, **report_entry(*c)} for c in checks)
     fixed = setup["fixed_algebra"]
-    entries.append(
-        {
-            "context": "fixed-point-algebra",
-            "identity": "dimension-matches-projector-rank",
-            "status": "pass" if fixed.dimension == fixed.fixed_point_rank else "fail",
-        }
+    checks = (
+        ("dimension-matches-projector-rank", fixed.dimension == fixed.fixed_point_rank),
+        ("bracket-closed", fixed.bracket_closed),
     )
-    entries.append(
-        {
-            "context": "fixed-point-algebra",
-            "identity": "bracket-closed",
-            "status": "pass" if fixed.bracket_closed else "fail",
-        }
-    )
+    entries.extend({"context": "fixed-point-algebra", **report_entry(*c)} for c in checks)
     twisted = twisted_evaluation_zero_check(
         setup["algebra"],
         setup["algebra_act"],
@@ -236,8 +228,7 @@ def _suite_equivariant(cfg: RunConfig) -> list[dict]:
     entries.append(
         {
             "context": "evaluation-module",
-            "identity": f"compatibility({len(module.report)} pairs)",
-            "status": "pass" if module.passed else "fail",
+            **report_entry(f"compatibility({len(module.report)} pairs)", module.passed),
         }
     )
     return entries
@@ -265,14 +256,15 @@ def cmd_verify(suite: str, cfg: RunConfig) -> int:
         raise CliError(
             f"unknown suite {suite!r} (choose from {', '.join(VERIFY_SUITES)})"
         )
+    bound = cfg.effective_degree_bound()
     entries = _SUITES[suite](cfg)
-    ok = all(entry["status"] == "pass" for entry in entries)
+    ok = report_passed(entries)
     if cfg.format == "json":
         print(
             _dump(
                 {
                     "suite": suite,
-                    "degree_bound": cfg.effective_degree_bound(),
+                    "degree_bound": bound,
                     "entries": entries,
                     "status": "pass" if ok else "fail",
                 }
@@ -319,12 +311,14 @@ def cmd_solve(cfg: RunConfig) -> int:
         raise CliError(f"cannot read {cfg.input}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise CliError(f"{cfg.input} is not valid JSON: {exc}") from exc
-    if "V" not in desc or "W" not in desc:
-        raise CliError("the description must contain 'V' and 'W' module rules")
+    if not isinstance(desc, dict) or "V" not in desc or "W" not in desc:
+        raise CliError(
+            "the description must be an object with 'V' and 'W' module rules"
+        )
+    bound = cfg.effective_degree_bound(desc.get("degree_bound"))
     lie = lie_object_by_name(desc.get("lie", "oriented-gl"))
     V = rule_from_description(lie, desc["V"])
     W = rule_from_description(lie, desc["W"])
-    bound = cfg.effective_degree_bound(desc.get("degree_bound"))
     target_name = desc.get("target")
     if target_name is not None:
         if target_name != "identity":
@@ -333,15 +327,7 @@ def cmd_solve(cfg: RunConfig) -> int:
         inc_cfg = IncarnationConfig(n, lie.carrier.flavor)
         target = incarnate(kar_identity(W.carrier), inc_cfg)
         result = incarnation_preimage_space(V, W, n, target, bound)
-        report = {
-            "mode": "incarnation-preimage",
-            "n": n,
-            "degree_bound": bound,
-            "truncated": True,
-            "unknowns": len(result.basis_diagrams),
-            "is_consistent": result.is_consistent,
-            "affine_dimension": result.affine_dimension,
-        }
+        report = {"mode": "incarnation-preimage", "n": n}
     else:
         try:
             result = current_morphism_space(V, W, bound, delta=cfg.delta)
@@ -350,21 +336,21 @@ def cmd_solve(cfg: RunConfig) -> int:
                 "the morphism-space solver needs a numeric loop value "
                 "(pass --delta P/Q)"
             ) from exc
-        report = {
-            "mode": "morphism-space",
-            "delta": str(cfg.delta),
-            "degree_bound": bound,
-            "truncated": True,
-            "unknowns": len(result.basis_diagrams),
-            "is_consistent": result.is_consistent,
-            "affine_dimension": result.affine_dimension,
-        }
+        report = {"mode": "morphism-space", "delta": str(cfg.delta)}
+    consistent = result.is_consistent
+    report.update(
+        degree_bound=bound,
+        truncated=True,
+        unknowns=len(result.basis_diagrams),
+        is_consistent=consistent,
+        affine_dimension=result.affine_dimension if consistent else None,
+    )
     if cfg.format == "json":
         print(_dump(report))
     else:
         for key in sorted(report):
             print(f"{key}={report[key]}")
-    return 0
+    return 0 if consistent else 1
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +369,7 @@ def cmd_reproduce(reproduction: str, cfg: RunConfig) -> int:
             f"(choose from all, {', '.join(REPRODUCTION_IDS)})"
         )
     reports = run_reproductions(ids, degree_bound=cfg.effective_degree_bound())
-    ok = all(report["status"] == "pass" for report in reports)
+    ok = report_passed(reports)
     if cfg.format == "json":
         print(_dump({"reproductions": reports, "status": "pass" if ok else "fail"}))
     else:

@@ -27,6 +27,7 @@ from curcat.diagrams import (
     all_matchings,
     cup,
     identity,
+    parse_expr,
     tensor,
     word,
 )
@@ -56,14 +57,18 @@ from curcat.lie import (
     AxiomError,
     LieModule,
     LieObject,
+    _plain_word_of,
     adjoint_module,
     canonical_module,
     check_module_morphism,
-    dual_module,
+    dual_of_action,
     gl_object,
     lie_module,
+    report_entry,
     report_passed,
+    residual_entry,
     tensor_module,
+    tensor_of_actions,
     trivial_module,
     unoriented_natural_module,
     unoriented_so_object,
@@ -191,9 +196,12 @@ def _compute_action(m: CurrentModule, n: int) -> KarMorphism:
     if isinstance(rule, ExtensionRule):
         return _extension_action(m, rule, n)
     if isinstance(rule, TensorRule):
-        return _tensor_action(m.lie, rule.V, rule.W, n)
+        V, W = rule.V, rule.W
+        return tensor_of_actions(
+            m.lie.carrier, V.carrier, V.action(n), W.carrier, W.action(n)
+        )
     if isinstance(rule, DualRule):
-        return _dual_action(m.lie, rule.V, n)
+        return dual_of_action(m.lie.carrier, rule.V.carrier, rule.V.action(n))
     if isinstance(rule, ExplicitRule):
         for degree, act in rule.actions:
             if degree == n:
@@ -272,35 +280,6 @@ def _extension_action(m: CurrentModule, rule: ExtensionRule, n: int) -> KarMorph
     )
 
 
-def _tensor_action(
-    lie: LieObject, V: CurrentModule, W: CurrentModule, n: int
-) -> KarMorphism:
-    one_w = kar_identity(W.carrier)
-    one_v = kar_identity(V.carrier)
-    left = kar_tensor(V.action(n), one_w)
-    transport = kar_tensor(kar_braiding(lie.carrier, V.carrier), one_w)
-    right = kar_compose(kar_tensor(one_v, W.action(n)), transport)
-    return left + right
-
-
-def _dual_action(lie: LieObject, V: CurrentModule, n: int) -> KarMorphism:
-    from curcat.lie import nested_cap, nested_cup, _plain_word_of
-
-    w = _plain_word_of(V.carrier)
-    ws = w.dual()
-    carrier = kar_word(ws)
-    one_ws = kar_diag(identity(ws))
-    swap = kar_braiding(lie.carrier, carrier)
-    feed = kar_tensor(
-        kar_tensor(one_ws, kar_identity(lie.carrier)), kar_diag(nested_cup(w))
-    )
-    act_mid = kar_tensor(kar_tensor(one_ws, V.action(n)), one_ws)
-    collapse = kar_tensor(kar_diag(nested_cap(w)), one_ws)
-    return kar_scale(
-        kar_compose(collapse, kar_compose(act_mid, kar_compose(feed, swap))), -1
-    )
-
-
 # ---------------------------------------------------------------------------
 # constructors
 
@@ -347,15 +326,15 @@ def make_extension(
     point) tensor V into W; this is verified degree by degree up to
     degree_bound before the module is built.
     """
+    if degree_bound < 0:
+        raise ValueError("the degree bound must be nonnegative")
     a = Fraction(point)
     L_a = evaluation_module(a, adjoint_module(V.lie))
     source = tensor_current(L_a, V)
     report = current_morphism_report(tau, source, W, degree_bound)
-    failures = [e for e in report if e["status"] == "fail"]
-    if failures:
-        raise AxiomError(
-            f"connecting map fails the morphism condition at {failures[0]['identity']}"
-        )
+    if not report_passed(report):
+        first = next(e["identity"] for e in report if e["status"] == "fail")
+        raise AxiomError(f"connecting map fails the morphism condition at {first}")
     carrier = kar_direct_sum([V.carrier, W.carrier])
     return CurrentModule(V.lie, carrier, ExtensionRule(V, W, a, tau))
 
@@ -368,8 +347,6 @@ def tensor_current(V: CurrentModule, W: CurrentModule) -> CurrentModule:
 
 
 def dual_current(V: CurrentModule) -> CurrentModule:
-    from curcat.lie import _plain_word_of
-
     carrier = kar_word(_plain_word_of(V.carrier).dual())
     return CurrentModule(V.lie, carrier, DualRule(V))
 
@@ -414,19 +391,7 @@ def check_current_compatibility(M: CurrentModule, degree_bound: int) -> list[dic
     for m_deg in range(degree_bound + 1):
         for n_deg in range(degree_bound + 1 - m_deg):
             residual = current_compatibility_residual(M, m_deg, n_deg)
-            name = f"COMPAT({m_deg},{n_deg})"
-            if residual.is_zero():
-                report.append({"identity": name, "status": "pass"})
-            else:
-                from curcat.lie import _residual_text
-
-                report.append(
-                    {
-                        "identity": name,
-                        "status": "fail",
-                        "residual": _residual_text(residual),
-                    }
-                )
+            report.append(residual_entry(f"COMPAT({m_deg},{n_deg})", residual))
     return report
 
 
@@ -442,19 +407,10 @@ def current_morphism_residual(
 def current_morphism_report(
     f: KarMorphism, V: CurrentModule, W: CurrentModule, degree_bound: int
 ) -> list[dict]:
-    from curcat.lie import _residual_text
-
-    report = []
-    for n in range(degree_bound + 1):
-        residual = current_morphism_residual(f, V, W, n)
-        name = f"MORPHISM(deg {n})"
-        if residual.is_zero():
-            report.append({"identity": name, "status": "pass"})
-        else:
-            report.append(
-                {"identity": name, "status": "fail", "residual": _residual_text(residual)}
-            )
-    return report
+    return [
+        residual_entry(f"MORPHISM(deg {n})", current_morphism_residual(f, V, W, n))
+        for n in range(degree_bound + 1)
+    ]
 
 
 def modules_equal_to_degree(
@@ -516,9 +472,11 @@ def _is_plain(obj: KarObject) -> bool:
 
 def _expand_rows(
     residuals: list[KarMorphism], delta: Fraction
-) -> tuple[list[list[Fraction]], int]:
+) -> list[list[Fraction]]:
     """Rows of the linear system: one per (block, matching) of the residual
     boundary, columns indexed like the residual list."""
+    if not residuals:
+        return []
     template = residuals[0]
     index: dict[tuple[int, int, Matching], int] = {}
     for bi, tw in enumerate(template.target.summands):
@@ -533,10 +491,9 @@ def _expand_rows(
                 for m, c in block.terms:
                     col[index[(bi, bj, m)]] = c.evaluate(delta)
         columns.append(col)
-    rows = [
+    return [
         [columns[k][r] for k in range(len(columns))] for r in range(len(index))
     ]
-    return rows, len(index)
 
 
 def _morphism_system(
@@ -559,12 +516,12 @@ def _morphism_system(
         absorbed = [
             kar_compose(e_w, kar_compose(u, e_v)) - u for u in units
         ]
-        new_rows, _ = _expand_rows(absorbed, delta)
+        new_rows = _expand_rows(absorbed, delta)
         rows.extend(new_rows)
         rhs.extend([Fraction(0)] * len(new_rows))
     for n in range(degree_bound + 1):
         residuals = [current_morphism_residual(u, V, W, n) for u in units]
-        new_rows, _ = _expand_rows(residuals, delta)
+        new_rows = _expand_rows(residuals, delta)
         rows.extend(new_rows)
         rhs.extend([Fraction(0)] * len(new_rows))
     return rows, rhs, unknowns
@@ -650,30 +607,13 @@ def right_inverse_check() -> list[dict]:
     rho = canonical_module(L, "uuu").action.blocks[0][0]
     section = tensor(cup("ud"), identity(word("uuu")))
     composite = rho * section
-    report = []
     third = composite.scale(Fraction(1, 3))
     expected = identity(word("uuu"))
-    report.append(
-        {
-            "identity": "right-inverse(generic)",
-            "status": "pass" if third == expected else "fail",
-        }
-    )
-    at2 = third.specialize(2)
-    report.append(
-        {
-            "identity": "right-inverse(delta=2)",
-            "status": "pass" if at2 == expected else "fail",
-        }
-    )
-    residual = composite - expected
-    report.append(
-        {
-            "identity": "coefficient-1-residual",
-            "status": "pass" if residual == expected.scale(2) else "fail",
-        }
-    )
-    return report
+    return [
+        report_entry("right-inverse(generic)", third == expected),
+        report_entry("right-inverse(delta=2)", third.specialize(2) == expected),
+        report_entry("coefficient-1-residual", composite - expected == expected.scale(2)),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -706,30 +646,59 @@ def lie_object_by_name(name: str) -> LieObject:
     raise ValueError(f"unknown Lie object {name!r}")
 
 
+_REQUIRED = object()
+
+
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError("expected a string")
+    return value
+
+
+def _convert(value, convert, what: str):
+    try:
+        return convert(value)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise ValueError(f"bad {what}: {value!r}") from exc
+
+
+def _field(desc: dict, key: str, convert=_text, default=_REQUIRED):
+    """desc[key], or the default when it is absent, passed through convert;
+    a missing required key or a value convert rejects is an input error."""
+    rule = desc.get("rule")
+    if key not in desc and default is _REQUIRED:
+        raise ValueError(f"rule {rule!r} needs the key {key!r}")
+    return _convert(desc.get(key, default), convert, f"{key!r} in rule {rule!r}")
+
+
 def rule_from_description(L: LieObject, desc: dict) -> CurrentModule:
     """Build a current module from a JSON-friendly rule tree."""
-    from curcat.diagrams import parse_expr
-
+    if not isinstance(desc, dict):
+        raise ValueError(f"a module rule must be an object, not {desc!r}")
     kind = desc.get("rule")
     flavor = L.carrier.flavor
+
+    def sub_rule(key: str) -> CurrentModule:
+        return rule_from_description(L, _field(desc, key, dict))
+
     if kind == "trivial":
-        return trivial_current(L, word(desc["word"], flavor))
+        return trivial_current(L, word(_field(desc, "word"), flavor))
     if kind in ("canonical", "evaluation"):
-        base = base_module_for(L, desc["word"])
-        point = Fraction(desc.get("point", 0))
+        base = base_module_for(L, _field(desc, "word"))
+        point = _field(desc, "point", Fraction, 0)
         return evaluation_module(point, base)
     if kind == "induced":
-        base = base_module_for(L, desc["word"])
-        endo = kar_diag(parse_expr(desc["endo"], flavor))
+        base = base_module_for(L, _field(desc, "word"))
+        endo = kar_diag(parse_expr(_field(desc, "endo"), flavor))
         return induced_module(base, endo)
     if kind == "truncated":
-        inner = rule_from_description(L, desc["inner"])
-        return truncated_module(inner, int(desc["k"]))
+        inner = sub_rule("inner")
+        return truncated_module(inner, _field(desc, "k", int))
     if kind == "extension":
-        V = rule_from_description(L, desc["V"])
-        W = rule_from_description(L, desc["W"])
-        point = Fraction(desc.get("point", 0))
-        tau_desc = desc.get("tau", "unitor")
+        V = sub_rule("V")
+        W = sub_rule("W")
+        point = _field(desc, "point", Fraction, 0)
+        tau_desc = _field(desc, "tau", _text, "unitor")
         if tau_desc == "unitor":
             tau = kar_identity(W.carrier)
             expected = kar_tensor_objects(L.carrier, V.carrier)
@@ -740,18 +709,19 @@ def rule_from_description(L: LieObject, desc: dict) -> CurrentModule:
                 )
         else:
             tau = kar_diag(parse_expr(tau_desc, flavor))
-        bound = int(desc.get("degree_bound", 2))
+        bound = _field(desc, "degree_bound", int, 2)
         return make_extension(V, W, point, tau, degree_bound=bound)
     if kind == "tensor":
-        return tensor_current(
-            rule_from_description(L, desc["V"]), rule_from_description(L, desc["W"])
-        )
+        return tensor_current(sub_rule("V"), sub_rule("W"))
     if kind == "dual":
-        return dual_current(rule_from_description(L, desc["V"]))
+        return dual_current(sub_rule("V"))
     if kind == "explicit":
-        carrier = kar_word(word(desc["word"], flavor))
+        carrier = kar_word(word(_field(desc, "word"), flavor))
         actions = {
-            int(k): kar_diag(parse_expr(v, flavor)) for k, v in desc["actions"].items()
+            _convert(k, int, "action degree"): kar_diag(
+                parse_expr(_convert(v, _text, "action expression"), flavor)
+            )
+            for k, v in _field(desc, "actions", dict).items()
         }
         return explicit_current(L, carrier, actions)
     raise ValueError(f"unknown rule {kind!r}")

@@ -24,7 +24,7 @@ import itertools
 import json
 import re
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from curcat.exact import DeltaPoly
 
@@ -468,13 +468,6 @@ def tensor(f: DiagMorphism, g: DiagMorphism) -> DiagMorphism:
     return DiagMorphism(dom, cod, acc)
 
 
-def tensor_all(fs: Sequence[DiagMorphism]) -> DiagMorphism:
-    out = fs[0]
-    for f in fs[1:]:
-        out = tensor(out, f)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # generators
 
@@ -730,7 +723,11 @@ class _Parser:
     def term(self) -> DiagMorphism:
         coeff = Fraction(1)
         if self.peek()[0] == "num":
-            coeff = Fraction(self.next()[1])
+            _, val, pos = self.next()
+            try:
+                coeff = Fraction(val)
+            except ZeroDivisionError as e:
+                raise ParseError(f"zero denominator in {val!r}", pos) from e
             if self.peek()[1] == "*":
                 self.next()
         result = self.tens()

@@ -30,7 +30,7 @@ from curcat.exact import (
     rref,
     solve_affine,
 )
-from curcat.lie import AxiomError, report_passed
+from curcat.lie import AxiomError, report_entry, report_passed
 
 __all__ = [
     "FiniteAbelianGroup",
@@ -241,6 +241,26 @@ def _promote_matrix(m: ExactMatrix, ring: Ring) -> ExactMatrix:
     return m.map_entries(lambda x: _promote_scalar(x, ring), ring)
 
 
+def _freeze_table(structure, ring: Ring) -> tuple:
+    """Structure constants as a dim x dim x dim tuple with every entry moved
+    into ring."""
+    frozen = tuple(
+        tuple(tuple(_promote_scalar(c, ring) for c in vec) for vec in row)
+        for row in structure
+    )
+    dim = len(frozen)
+    if any(len(row) != dim or any(len(vec) != dim for vec in row) for row in frozen):
+        raise EquivariantDataError("structure constants must be dim x dim x dim")
+    return frozen
+
+
+def _standard_basis(dim: int, ring: Ring) -> list[tuple]:
+    return [
+        tuple(ring.one if t == i else ring.zero for t in range(dim))
+        for i in range(dim)
+    ]
+
+
 def _column_space_basis(m: ExactMatrix) -> list[tuple]:
     """Canonical spanning vectors for the column space (echelon rows of the
     transpose)."""
@@ -266,20 +286,13 @@ def _kron_vector(x, a) -> tuple:
 # finite-dimensional algebras
 
 
-@dataclasses.dataclass(frozen=True)
-class FDAlgebra:
-    """Structure constants for a product on a based vector space.
+class _BilinearTable:
+    """A bilinear product given by structure constants on a based space.
 
     structure[i][j] holds the coordinates of (basis i) * (basis j).
     """
 
-    dim: int
-    structure: tuple
-    commutative: bool
-    unit: tuple | None
-    ring: Ring
-
-    def multiply(self, u, v) -> tuple:
+    def product(self, u, v) -> tuple:
         out = [self.ring.zero] * self.dim
         for i, ui in enumerate(u):
             if not ui:
@@ -292,17 +305,24 @@ class FDAlgebra:
         return tuple(out)
 
 
+@dataclasses.dataclass(frozen=True)
+class FDAlgebra(_BilinearTable):
+    """Structure constants for a product on a based vector space."""
+
+    dim: int
+    structure: tuple
+    commutative: bool
+    unit: tuple | None
+    ring: Ring
+
+    multiply = _BilinearTable.product
+
+
 def fd_algebra(structure, commutative: bool = True, unit=None) -> FDAlgebra:
     """Validate and freeze an associative product table."""
     dim = len(structure)
-    flat = [c for row in structure for vec in row for c in vec]
-    ring = _ring_of_scalars(flat)
-    frozen = tuple(
-        tuple(tuple(_promote_scalar(c, ring) for c in vec) for vec in row)
-        for row in structure
-    )
-    if any(len(row) != dim or any(len(vec) != dim for vec in row) for row in frozen):
-        raise EquivariantDataError("structure constants must be dim x dim x dim")
+    ring = _ring_of_scalars([c for row in structure for vec in row for c in vec])
+    frozen = _freeze_table(structure, ring)
     alg = FDAlgebra(
         dim,
         frozen,
@@ -310,10 +330,7 @@ def fd_algebra(structure, commutative: bool = True, unit=None) -> FDAlgebra:
         tuple(_promote_scalar(c, ring) for c in unit) if unit is not None else None,
         ring,
     )
-    basis = [
-        tuple(ring.one if t == i else ring.zero for t in range(dim))
-        for i in range(dim)
-    ]
+    basis = _standard_basis(dim, ring)
     if commutative:
         for i in range(dim):
             for j in range(i):
@@ -391,40 +408,22 @@ def polynomial_quotient_algebra(modulus) -> FDAlgebra:
 
 
 @dataclasses.dataclass(frozen=True)
-class FDLieAlgebra:
+class FDLieAlgebra(_BilinearTable):
     """Bracket structure constants on a based vector space."""
 
     dim: int
     structure: tuple
     ring: Ring
 
-    def bracket(self, u, v) -> tuple:
-        out = [self.ring.zero] * self.dim
-        for i, ui in enumerate(u):
-            if not ui:
-                continue
-            for j, vj in enumerate(v):
-                if not vj:
-                    continue
-                for k, c in enumerate(self.structure[i][j]):
-                    out[k] = out[k] + ui * vj * c
-        return tuple(out)
+    bracket = _BilinearTable.product
 
 
 def fd_lie_algebra(structure) -> FDLieAlgebra:
     """Validate antisymmetry and the Jacobi identity on basis triples."""
     dim = len(structure)
-    flat = [c for row in structure for vec in row for c in vec]
-    ring = _ring_of_scalars(flat)
-    frozen = tuple(
-        tuple(tuple(_promote_scalar(c, ring) for c in vec) for vec in row)
-        for row in structure
-    )
-    lie = FDLieAlgebra(dim, frozen, ring)
-    basis = [
-        tuple(ring.one if t == i else ring.zero for t in range(dim))
-        for i in range(dim)
-    ]
+    ring = _ring_of_scalars([c for row in structure for vec in row for c in vec])
+    lie = FDLieAlgebra(dim, _freeze_table(structure, ring), ring)
+    basis = _standard_basis(dim, ring)
     zero = tuple(ring.zero for _ in range(dim))
 
     def add(u, v):
@@ -525,73 +524,63 @@ def group_action(
     return GroupActionOnSpace(group, dim, tuple(gens), ring)
 
 
-def algebra_action(
-    group: FiniteAbelianGroup, algebra: FDAlgebra, generators
-) -> GroupActionOnSpace:
-    """A valid action whose generators also respect the product."""
-    action = group_action(group, generators, dim=algebra.dim)
-    if action.dim != algebra.dim:
-        raise EquivariantDataError("action dimension differs from the algebra")
-    ring = _join_rings(action.ring, algebra.ring)
-    action = GroupActionOnSpace(
-        group, action.dim, tuple(_promote_matrix(m, ring) for m in action.generators), ring
+def _promote_action(action: GroupActionOnSpace, ring: Ring) -> GroupActionOnSpace:
+    """The same action with its generators moved into the join with ring."""
+    ring = _join_rings(action.ring, ring)
+    return GroupActionOnSpace(
+        action.group,
+        action.dim,
+        tuple(_promote_matrix(m, ring) for m in action.generators),
+        ring,
     )
-    basis = _standard_basis(algebra.dim, ring)
+
+
+def _table_action(
+    group: FiniteAbelianGroup,
+    table: _BilinearTable,
+    generators,
+    table_name: str,
+    product_name: str,
+) -> GroupActionOnSpace:
+    """A valid action whose generators also respect the table's product,
+    checked generator by generator on every pair of basis vectors."""
+    action = group_action(group, generators, dim=table.dim)
+    if action.dim != table.dim:
+        raise EquivariantDataError(f"action dimension differs from the {table_name}")
+    action = _promote_action(action, table.ring)
+    ring = action.ring
+    basis = _standard_basis(table.dim, ring)
     for gen_index in range(len(action.generators)):
-        g = tuple(
-            1 if t == gen_index else 0 for t in range(len(group.factors))
-        )
-        for i in range(algebra.dim):
-            for j in range(algebra.dim):
-                prod = tuple(_promote_scalar(c, ring) for c in algebra.multiply(basis[i], basis[j]))
-                left = action.transform(g, prod)
-                right = algebra.multiply(
+        g = tuple(1 if t == gen_index else 0 for t in range(len(group.factors)))
+        for i in range(table.dim):
+            for j in range(table.dim):
+                prod = table.product(basis[i], basis[j])
+                left = action.transform(g, tuple(_promote_scalar(c, ring) for c in prod))
+                right = table.product(
                     action.transform(g, basis[i]),
                     action.transform(g, basis[j]),
                 )
                 right = tuple(_promote_scalar(c, ring) for c in right)
                 if left != right:
                     raise EquivariantDataError(
-                        f"generator {gen_index} does not respect the product at ({i},{j})"
+                        f"generator {gen_index} does not respect the {product_name} "
+                        f"at ({i},{j})"
                     )
     return action
+
+
+def algebra_action(
+    group: FiniteAbelianGroup, algebra: FDAlgebra, generators
+) -> GroupActionOnSpace:
+    """A valid action whose generators also respect the product."""
+    return _table_action(group, algebra, generators, "algebra", "product")
 
 
 def lie_action(
     group: FiniteAbelianGroup, lie: FDLieAlgebra, generators
 ) -> GroupActionOnSpace:
     """A valid action whose generators also respect the bracket."""
-    action = group_action(group, generators, dim=lie.dim)
-    if action.dim != lie.dim:
-        raise EquivariantDataError("action dimension differs from the Lie algebra")
-    ring = _join_rings(action.ring, lie.ring)
-    action = GroupActionOnSpace(
-        group, action.dim, tuple(_promote_matrix(m, ring) for m in action.generators), ring
-    )
-    basis = _standard_basis(lie.dim, ring)
-    for gen_index in range(len(action.generators)):
-        g = tuple(1 if t == gen_index else 0 for t in range(len(group.factors)))
-        for i in range(lie.dim):
-            for j in range(lie.dim):
-                br = tuple(_promote_scalar(c, ring) for c in lie.bracket(basis[i], basis[j]))
-                left = action.transform(g, br)
-                right = lie.bracket(
-                    action.transform(g, basis[i]),
-                    action.transform(g, basis[j]),
-                )
-                right = tuple(_promote_scalar(c, ring) for c in right)
-                if left != right:
-                    raise EquivariantDataError(
-                        f"generator {gen_index} does not respect the bracket at ({i},{j})"
-                    )
-    return action
-
-
-def _standard_basis(dim: int, ring: Ring) -> list[tuple]:
-    return [
-        tuple(ring.one if t == i else ring.zero for t in range(dim))
-        for i in range(dim)
-    ]
+    return _table_action(group, lie, generators, "Lie algebra", "bracket")
 
 
 # ---------------------------------------------------------------------------
@@ -707,23 +696,11 @@ def equivariant_map_algebra(
     span = _vectors_matrix([_kron_vector(x, a) for _, x, a in basis], lie.dim * algebra.dim, ring)
     table = []
     closed = True
-    lie_p = FDLieAlgebra(
-        lie.dim,
-        tuple(
-            tuple(tuple(_promote_scalar(c, ring) for c in vec) for vec in row)
-            for row in lie.structure
-        ),
-        ring,
+    lie_p = dataclasses.replace(
+        lie, structure=_freeze_table(lie.structure, ring), ring=ring
     )
-    alg_p = FDAlgebra(
-        algebra.dim,
-        tuple(
-            tuple(tuple(_promote_scalar(c, ring) for c in vec) for vec in row)
-            for row in algebra.structure
-        ),
-        algebra.commutative,
-        algebra.unit,
-        ring,
+    alg_p = dataclasses.replace(
+        algebra, structure=_freeze_table(algebra.structure, ring), ring=ring
     )
     for _, x, a in basis:
         row = []
@@ -824,13 +801,8 @@ class StabilizerResult:
 
 def ideal_stabilizer(action: GroupActionOnSpace, m: MaxIdeal) -> StabilizerResult:
     """All group elements whose matrices map the ideal span onto itself."""
-    ring = _join_rings(action.ring, m.algebra.ring)
-    promoted = GroupActionOnSpace(
-        action.group,
-        action.dim,
-        tuple(_promote_matrix(x, ring) for x in action.generators),
-        ring,
-    )
+    promoted = _promote_action(action, m.algebra.ring)
+    ring = promoted.ring
     vecs = [tuple(_promote_scalar(c, ring) for c in v) for v in m.basis]
     span = _vectors_matrix(vecs, m.algebra.dim, ring)
     kept = []
@@ -868,19 +840,11 @@ def twisted_evaluation_zero_check(
     for idx, v in enumerate(isotypic_basis(action, f)):
         value = m.ev_value(tuple(_promote_scalar(c, m.algebra.ring) for c in v))
         report.append(
-            {
-                "identity": f"evaluation-vanishes[{idx}]",
-                "status": "pass" if not value else "fail",
-                "value": str(value),
-            }
+            {**report_entry(f"evaluation-vanishes[{idx}]", not value), "value": str(value)}
         )
     if not report:
         report.append(
-            {
-                "identity": "evaluation-vanishes[empty-slice]",
-                "status": "pass",
-                "value": "0",
-            }
+            {**report_entry("evaluation-vanishes[empty-slice]", True), "value": "0"}
         )
     return report
 
@@ -1006,17 +970,9 @@ def equivariant_evaluation_module(
             rhs = action_of(
                 chi_p * chi_q, ema.lie.bracket(x, y), ema.algebra.multiply(a, b)
             )
-            name = f"COMPAT({p},{q})"
-            if lhs == rhs:
-                report.append({"identity": name, "status": "pass"})
-            else:
-                report.append(
-                    {
-                        "identity": name,
-                        "status": "fail",
-                        "residual": (lhs - rhs).pretty(),
-                    }
-                )
+            ok = lhs == rhs
+            residual = None if ok else (lhs - rhs).pretty()
+            report.append(report_entry(f"COMPAT({p},{q})", ok, residual))
     return EvaluationModuleResult(
         ema,
         m,

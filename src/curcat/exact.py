@@ -38,11 +38,6 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(text.strip())
 
 
-def format_rational(q: Fraction) -> str:
-    """Render a Fraction as "p" or "p/q" (denominator 1 omitted)."""
-    return str(q)
-
-
 # ---------------------------------------------------------------------------
 # polynomials in delta
 

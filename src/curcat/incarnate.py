@@ -38,6 +38,7 @@ from curcat.exact import (
     rref,
 )
 from curcat.karoubi import KarMorphism
+from curcat.lie import report_entry, unoriented_so_object
 
 
 @dataclasses.dataclass(frozen=True)
@@ -193,13 +194,6 @@ def kernel_report_json(result: KernelResult) -> dict:
 # reports
 
 
-def _entry(name: str, ok: bool, detail: str | None = None) -> dict:
-    out = {"identity": name, "status": "pass" if ok else "fail"}
-    if detail is not None and not ok:
-        out["residual"] = detail
-    return out
-
-
 def antisymmetrizer_kernel_check(
     cfg: IncarnationConfig, words: list[Word | str]
 ) -> list[dict]:
@@ -211,13 +205,13 @@ def antisymmetrizer_kernel_check(
     report = []
     a_top = antisymmetrizer(n + 1)
     report.append(
-        _entry(
+        report_entry(
             f"vanishing(asym({n + 1}), n={n})",
             incarnate(a_top, cfg).is_zero(),
         )
     )
     report.append(
-        _entry(
+        report_entry(
             f"nonvanishing(asym({n}), n={n})",
             not incarnate(antisymmetrizer(n), cfg).is_zero(),
         )
@@ -231,7 +225,9 @@ def antisymmetrizer_kernel_check(
         if k < n + 1:
             ok = result.kernel_dimension == 0
             report.append(
-                _entry(f"kernel-empty(End({w}), n={n})", ok, str(result.kernel_dimension))
+                report_entry(
+                    f"kernel-empty(End({w}), n={n})", ok, str(result.kernel_dimension)
+                )
             )
             continue
         basis_index = {m: i for i, m in enumerate(result.matchings)}
@@ -258,7 +254,7 @@ def antisymmetrizer_kernel_check(
             _, combined_rank, _ = rref(combined)
             ok = combined_rank == result.kernel_dimension
         report.append(
-            _entry(
+            report_entry(
                 f"ideal-span(End({w}), n={n})",
                 ok,
                 f"span rank {span_rank} vs kernel {result.kernel_dimension}",
@@ -281,18 +277,16 @@ def _skew_projector(n: int) -> ExactMatrix:
 def so_object_image_check(n: int) -> list[dict]:
     """The skew projector object realizes as projection onto antisymmetric
     matrices and its bracket realizes as the matrix commutator."""
-    from curcat.lie import unoriented_so_object
-
     cfg = IncarnationConfig(n, UNORIENTED)
     so = unoriented_so_object()
     proj = incarnate(so.carrier.idempotent[0][0], cfg)
     report = []
-    report.append(_entry(f"projector-idempotent(n={n})", (proj @ proj) == proj))
-    report.append(_entry(f"projector-shape(n={n})", proj == _skew_projector(n)))
+    report.append(report_entry(f"projector-idempotent(n={n})", (proj @ proj) == proj))
+    report.append(report_entry(f"projector-shape(n={n})", proj == _skew_projector(n)))
     _, rank, _ = rref(proj)
     expect = n * (n - 1) // 2
     report.append(
-        _entry(f"image-dimension(n={n})", rank == expect, f"{rank} vs {expect}")
+        report_entry(f"image-dimension(n={n})", rank == expect, f"{rank} vs {expect}")
     )
     bracket = incarnate(so.bracket.blocks[0][0], cfg)
     ok = True
@@ -318,5 +312,5 @@ def so_object_image_check(n: int) -> list[dict]:
                 break
         if not ok:
             break
-    report.append(_entry(f"bracket-is-commutator(n={n})", ok, detail))
+    report.append(report_entry(f"bracket-is-commutator(n={n})", ok, detail))
     return report

@@ -23,8 +23,10 @@ from curcat.diagrams import (
     compose,
     diag_from_json_dict,
     diag_to_json_dict,
+    empty_word,
     swap_words,
     tensor,
+    word,
 )
 from curcat.exact import DeltaPoly
 
@@ -162,9 +164,7 @@ def kar_object(
     check: bool = True,
 ) -> KarObject:
     """Build and (by default) validate an envelope object."""
-    from curcat.diagrams import word as _word
-
-    ws = tuple(w if isinstance(w, Word) else _word(w) for w in summands)
+    ws = tuple(w if isinstance(w, Word) else word(w) for w in summands)
     e = _freeze_blocks(idempotent)
     obj = KarObject(ws, e)
     if check and not _mat_eq(_mat_compose(e, e), e):
@@ -174,15 +174,11 @@ def kar_object(
 
 def kar_word(w: Word | str) -> KarObject:
     """The plain word as an envelope object (identity idempotent)."""
-    from curcat.diagrams import word as _word
-
-    w = w if isinstance(w, Word) else _word(w)
+    w = w if isinstance(w, Word) else word(w)
     return KarObject((w,), ((DiagMorphism.identity(w),),))
 
 
 def kar_unit(flavor: str = "oriented") -> KarObject:
-    from curcat.diagrams import empty_word
-
     return kar_word(empty_word(flavor))
 
 
@@ -258,32 +254,25 @@ def kar_scale(f: KarMorphism, c) -> KarMorphism:
     )
 
 
+def _tensor_blocks(a: Blocks, b: Blocks) -> Blocks:
+    """Kronecker product of block matrices, left factor major on both axes."""
+    return tuple(
+        tuple(tensor(x, y) for x in row_a for y in row_b)
+        for row_a in a
+        for row_b in b
+    )
+
+
 def kar_tensor_objects(a: KarObject, b: KarObject) -> KarObject:
     """Tensor of objects: summand pairs in left-major order."""
     summands = tuple(x + y for x in a.summands for y in b.summands)
-    blocks = []
-    for i1 in range(len(a.summands)):
-        for i2 in range(len(b.summands)):
-            row = []
-            for j1 in range(len(a.summands)):
-                for j2 in range(len(b.summands)):
-                    row.append(tensor(a.idempotent[i1][j1], b.idempotent[i2][j2]))
-            blocks.append(tuple(row))
-    return KarObject(summands, tuple(blocks))
+    return KarObject(summands, _tensor_blocks(a.idempotent, b.idempotent))
 
 
 def kar_tensor(f: KarMorphism, g: KarMorphism) -> KarMorphism:
     source = kar_tensor_objects(f.source, g.source)
     target = kar_tensor_objects(f.target, g.target)
-    blocks = []
-    for i1 in range(len(f.target.summands)):
-        for i2 in range(len(g.target.summands)):
-            row = []
-            for j1 in range(len(f.source.summands)):
-                for j2 in range(len(g.source.summands)):
-                    row.append(tensor(f.blocks[i1][j1], g.blocks[i2][j2]))
-            blocks.append(tuple(row))
-    return KarMorphism(source, target, tuple(blocks))
+    return KarMorphism(source, target, _tensor_blocks(f.blocks, g.blocks))
 
 
 def kar_direct_sum(objects: Sequence[KarObject]) -> KarObject:
@@ -364,12 +353,6 @@ def kar_braiding(a: KarObject, b: KarObject) -> KarMorphism:
     return kar_sandwich(source, target, raw)
 
 
-def kar_from_blocks_validated(
-    source: KarObject, target: KarObject, blocks
-) -> KarMorphism:
-    return kar_morphism(source, target, blocks, check=True)
-
-
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -393,10 +376,8 @@ def kar_morphism_to_json_dict(f: KarMorphism) -> dict:
 
 
 def kar_object_from_json_dict(obj: dict) -> KarObject:
-    from curcat.diagrams import word as _word
-
     flavor = obj["flavor"]
-    ws = [_word(s, flavor) for s in obj["summands"]]
+    ws = [word(s, flavor) for s in obj["summands"]]
     e = [[diag_from_json_dict(b) for b in row] for row in obj["idempotent"]]
     return kar_object(ws, e)
 

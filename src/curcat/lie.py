@@ -20,7 +20,6 @@ from curcat.diagrams import (
     antisymmetrizer,
     cap,
     compose,
-    crossing,
     empty_word,
     identity,
     render,
@@ -31,7 +30,6 @@ from curcat.diagrams import (
 from curcat.karoubi import (
     KarMorphism,
     KarObject,
-    kar_add,
     kar_braiding,
     kar_compose,
     kar_diag,
@@ -93,14 +91,19 @@ def _residual_text(f: KarMorphism) -> str:
     return "; ".join(chunks)
 
 
-def _entry(identity_name: str, residual: KarMorphism) -> dict:
+def report_entry(identity_name: str, ok: bool, residual: str | None = None) -> dict:
+    """One report line; the residual is kept only when the check failed."""
+    entry = {"identity": identity_name, "status": "pass" if ok else "fail"}
+    if residual is not None and not ok:
+        entry["residual"] = residual
+    return entry
+
+
+def residual_entry(identity_name: str, residual: KarMorphism) -> dict:
+    """Pass when the residual vanishes; otherwise render it."""
     if residual.is_zero():
-        return {"identity": identity_name, "status": "pass"}
-    return {
-        "identity": identity_name,
-        "status": "fail",
-        "residual": _residual_text(residual),
-    }
+        return report_entry(identity_name, True)
+    return report_entry(identity_name, False, _residual_text(residual))
 
 
 def report_passed(report: list[dict]) -> bool:
@@ -168,17 +171,17 @@ def module_morphism_residual(
 
 def check_lie_axioms(L: LieObject) -> list[dict]:
     return [
-        _entry("SKEW", skew_residual(L)),
-        _entry("JACOBI", jacobi_residual(L)),
+        residual_entry("SKEW", skew_residual(L)),
+        residual_entry("JACOBI", jacobi_residual(L)),
     ]
 
 
 def check_module(M: LieModule) -> list[dict]:
-    return [_entry("LMOD", lmod_residual(M))]
+    return [residual_entry("LMOD", lmod_residual(M))]
 
 
 def check_module_morphism(f: KarMorphism, M: LieModule, N: LieModule) -> list[dict]:
-    return [_entry("MORPHISM", module_morphism_residual(f, M, N))]
+    return [residual_entry("MORPHISM", module_morphism_residual(f, M, N))]
 
 
 # ---------------------------------------------------------------------------
@@ -199,15 +202,18 @@ def semigroup_from_dual_pair(up: Word | str = "u") -> SemigroupObject:
     return s
 
 
-def lie_from_semigroup(s: SemigroupObject) -> LieObject:
-    """Antisymmetrize the product: bracket = m - m . swap."""
-    sigma = kar_braiding(s.carrier, s.carrier)
-    bracket = s.product - kar_compose(s.product, sigma)
-    L = LieObject(s.carrier, bracket)
+def _checked_lie(carrier: KarObject, bracket: KarMorphism) -> LieObject:
+    L = LieObject(carrier, bracket)
     report = check_lie_axioms(L)
     if not report_passed(report):
         raise AxiomError(f"bracket fails axioms: {report}")
     return L
+
+
+def lie_from_semigroup(s: SemigroupObject) -> LieObject:
+    """Antisymmetrize the product: bracket = m - m . swap."""
+    sigma = kar_braiding(s.carrier, s.carrier)
+    return _checked_lie(s.carrier, s.product - kar_compose(s.product, sigma))
 
 
 def gl_object() -> LieObject:
@@ -265,18 +271,28 @@ def lie_module(
     return M
 
 
+def tensor_of_actions(
+    lie_carrier: KarObject,
+    V: KarObject,
+    act_v: KarMorphism,
+    W: KarObject,
+    act_w: KarMorphism,
+) -> KarMorphism:
+    """The action on V . W built from the actions on V and on W."""
+    one_w = kar_identity(W)
+    left = kar_tensor(act_v, one_w)
+    transport = kar_tensor(kar_braiding(lie_carrier, V), one_w)
+    right = kar_compose(kar_tensor(kar_identity(V), act_w), transport)
+    return left + right
+
+
 def tensor_module(M: LieModule, N: LieModule, check: bool = True) -> LieModule:
     """Act on the left factor, plus act on the right after swapping past M."""
     if M.lie != N.lie:
         raise DiagramTypeError("modules live over different Lie objects")
-    L = M.lie
-    one_n = kar_identity(N.carrier)
-    one_m = kar_identity(M.carrier)
-    left = kar_tensor(M.action, one_n)
-    transport = kar_tensor(kar_braiding(L.carrier, M.carrier), one_n)
-    right = kar_compose(kar_tensor(one_m, N.action), transport)
+    action = tensor_of_actions(M.lie.carrier, M.carrier, M.action, N.carrier, N.action)
     return lie_module(
-        L, kar_tensor_objects(M.carrier, N.carrier), left + right, check=check
+        M.lie, kar_tensor_objects(M.carrier, N.carrier), action, check=check
     )
 
 
@@ -307,21 +323,27 @@ def nested_cup(w: Word | str) -> DiagMorphism:
     return DiagMorphism.from_matching(Matching.make(empty_word(w.flavor), cod, pairs))
 
 
-def dual_module(M: LieModule, check: bool = True) -> LieModule:
-    """The action on the dual word, rotated through the cap/cup pair."""
-    L = M.lie
-    w = _plain_word_of(M.carrier)
+def dual_of_action(lie_carrier: KarObject, V: KarObject, act_v: KarMorphism) -> KarMorphism:
+    """The action on the dual of V built from the action on V."""
+    w = _plain_word_of(V)
     ws = w.dual()
     one_ws = kar_diag(identity(ws))
-    carrier = kar_word(ws)
-    swap = kar_braiding(L.carrier, carrier)
-    feed = kar_tensor(kar_tensor(one_ws, kar_identity(L.carrier)), kar_diag(nested_cup(w)))
-    act_mid = kar_tensor(kar_tensor(one_ws, M.action), one_ws)
+    swap = kar_braiding(lie_carrier, kar_word(ws))
+    feed = kar_tensor(
+        kar_tensor(one_ws, kar_identity(lie_carrier)), kar_diag(nested_cup(w))
+    )
+    act_mid = kar_tensor(kar_tensor(one_ws, act_v), one_ws)
     collapse = kar_tensor(kar_diag(nested_cap(w)), one_ws)
-    action = kar_scale(
+    return kar_scale(
         kar_compose(collapse, kar_compose(act_mid, kar_compose(feed, swap))), -1
     )
-    return lie_module(L, carrier, action, check=check)
+
+
+def dual_module(M: LieModule, check: bool = True) -> LieModule:
+    """The action on the dual word, rotated through the cap/cup pair."""
+    action = dual_of_action(M.lie.carrier, M.carrier, M.action)
+    carrier = kar_word(_plain_word_of(M.carrier).dual())
+    return lie_module(M.lie, carrier, action, check=check)
 
 
 def canonical_module(L: LieObject, w: Word | str, check: bool = True) -> LieModule:
@@ -363,12 +385,7 @@ def unoriented_so_object() -> LieObject:
     sigma = swap_words(word("ss"), word("ss"))
     raw = m - compose(m, sigma)
     square = kar_tensor_objects(carrier, carrier)
-    bracket = kar_sandwich(square, carrier, [[raw]])
-    L = LieObject(carrier, bracket)
-    report = check_lie_axioms(L)
-    if not report_passed(report):
-        raise AxiomError(f"bracket fails axioms: {report}")
-    return L
+    return _checked_lie(carrier, kar_sandwich(square, carrier, [[raw]]))
 
 
 def unoriented_natural_module(L: LieObject | None = None) -> LieModule:

@@ -38,7 +38,7 @@ from curcat.incarnate import (
     so_object_image_check,
 )
 from curcat.karoubi import kar_diag
-from curcat.lie import gl_object, unoriented_so_object
+from curcat.lie import gl_object, report_passed, unoriented_so_object
 
 ORIGIN_BENCHMARK = "benchmark"
 ORIGIN_ORACLE = "oracle"
@@ -257,7 +257,7 @@ def _compute_so_image(degree_bound: int) -> dict[str, object]:
     all_ok = True
     for n in (2, 3, 4):
         report = so_object_image_check(n)
-        all_ok = all_ok and all(entry["status"] == "pass" for entry in report)
+        all_ok = all_ok and report_passed(report)
         so = unoriented_so_object()
         projector = incarnate(
             so.carrier.idempotent[0][0], IncarnationConfig(n, "unoriented")

@@ -83,6 +83,12 @@ def test_normalize_rejects_junk_syntax(capsys):
     assert "unexpected character" in err
 
 
+def test_normalize_rejects_zero_denominator(capsys):
+    code, _, err = run(capsys, ["normalize", "1/0 id(u)"])
+    assert code == 2
+    assert "zero denominator" in err
+
+
 def test_delta_flag_rejects_junk():
     with pytest.raises(SystemExit) as excinfo:
         main(["normalize", "delta", "--delta", "two"])
@@ -254,6 +260,99 @@ def test_solve_rejects_unknown_target(capsys, tmp_path):
     code, _, err = run(capsys, ["solve", "--input", str(path)])
     assert code == 2
     assert "identity target" in err
+
+
+def test_solve_inconsistent_preimage_is_a_failed_check(capsys, tmp_path):
+    path = tmp_path / "pair.json"
+    path.write_text(
+        json.dumps(
+            {
+                "V": {"rule": "trivial", "word": "uu"},
+                "W": {"rule": "canonical", "word": "uu"},
+                "target": "identity",
+            }
+        )
+    )
+    code, out, _ = run(capsys, ["solve", "--input", str(path), "--format", "json"])
+    assert code == 1
+    report = json.loads(out)
+    assert report["is_consistent"] is False
+    assert report["affine_dimension"] is None
+    code, out, _ = run(capsys, ["solve", "--input", str(path)])
+    assert code == 1
+    assert "affine_dimension=None" in out
+
+
+def test_solve_with_no_unknowns_has_the_zero_space(capsys, tmp_path):
+    path = tmp_path / "pair.json"
+    path.write_text(
+        json.dumps(
+            {
+                "V": {"rule": "canonical", "word": ""},
+                "W": {"rule": "canonical", "word": "d"},
+            }
+        )
+    )
+    code, out, _ = run(
+        capsys, ["solve", "--input", str(path), "--delta", "2", "--format", "json"]
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert report["unknowns"] == 0
+    assert report["affine_dimension"] == 0
+
+
+@pytest.mark.parametrize(
+    "desc, message",
+    [
+        (5, "must be an object"),
+        ({**EVALUATION_PAIR, "V": {"rule": "induced"}}, "needs the key 'word'"),
+        (
+            {**EVALUATION_PAIR, "V": {"rule": "evaluation", "word": "u", "point": "1/0"}},
+            "bad 'point'",
+        ),
+        (
+            {**EVALUATION_PAIR, "V": {"rule": "evaluation", "word": "u", "point": None}},
+            "bad 'point'",
+        ),
+        (
+            {
+                **EVALUATION_PAIR,
+                "V": {
+                    "rule": "extension",
+                    "V": {"rule": "trivial", "word": ""},
+                    "W": {"rule": "canonical", "word": "ud"},
+                    "degree_bound": -1,
+                },
+            },
+            "degree bound must be nonnegative",
+        ),
+    ],
+)
+def test_solve_rejects_malformed_descriptions(capsys, tmp_path, desc, message):
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(desc))
+    code, _, err = run(capsys, ["solve", "--input", str(path), "--delta", "2"])
+    assert code == 2
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "current", "--degree-bound", "-1"],
+        ["verify", "lie-axioms", "--degree-bound", "-1"],
+        ["reproduce", "all", "--degree-bound", "-1"],
+        ["solve", "--input", "{path}", "--delta", "2"],
+    ],
+)
+def test_negative_degree_bound_is_an_input_error(capsys, tmp_path, argv):
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps({**EVALUATION_PAIR, "degree_bound": -3}))
+    code, out, err = run(capsys, [a.format(path=path) for a in argv])
+    assert code == 2
+    assert out == ""
+    assert "degree bound must be nonnegative" in err
 
 
 # ---------------------------------------------------------------------------

@@ -227,6 +227,12 @@ def test_fd_algebra_rejects_wrong_unit():
         fd_algebra(structure, unit=(Fraction(0), Fraction(1)))
 
 
+def test_fd_lie_algebra_rejects_ragged_structure():
+    z = Fraction(0)
+    with pytest.raises(EquivariantDataError, match="dim x dim x dim"):
+        fd_lie_algebra([[(z, z), (z,)], [(z, z), (z, z)]])
+
+
 def test_fd_lie_algebra_rejects_nonzero_self_bracket():
     with pytest.raises(AxiomError, match="with itself is nonzero"):
         fd_lie_algebra([[(Fraction(1),)]])
