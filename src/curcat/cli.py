@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -36,7 +37,15 @@ from curcat.currents import (
     trivial_current,
     truncated_module,
 )
-from curcat.diagrams import ParseError, crossing, parse_expr, render
+from curcat.diagrams import (
+    UNORIENTED,
+    ParseError,
+    Word,
+    crossing,
+    parse_expr,
+    render,
+    word,
+)
 from curcat.equivariant import (
     Character,
     all_characters,
@@ -279,12 +288,31 @@ def cmd_verify(suite: str, cfg: RunConfig) -> int:
 # kernel
 
 
+# Largest hom dimension `kernel` accepts. The reduction of the hom x hom Gram
+# matrix is cubic in it: End(sssss), 945 matchings, is the largest admitted
+# and takes about three minutes once n >= 5 makes the Gram matrix full rank.
+KERNEL_HOM_LIMIT = 1000
+
+
+def _end_dimension(w: Word) -> int:
+    """Matchings on End(w): k! oriented, (2k-1)!! unoriented, k = len(w)."""
+    k = len(w)
+    if w.flavor == UNORIENTED:
+        return math.prod(range(1, 2 * k, 2))
+    return math.factorial(k)
+
+
 def cmd_kernel(word_text: str, cfg: RunConfig) -> int:
     _require_report_format(cfg)
-    flavor = "unoriented" if "s" in word_text else "oriented"
-    result = kernel_of_incarnation(
-        word_text, word_text, IncarnationConfig(cfg.effective_n(), flavor)
-    )
+    w = word(word_text)
+    size = _end_dimension(w)
+    if size > KERNEL_HOM_LIMIT:
+        raise CliError(
+            f"End({w}) has {size} matchings; kernel admits at most "
+            f"{KERNEL_HOM_LIMIT}"
+        )
+    cfg_n = IncarnationConfig(cfg.effective_n(), w.flavor)
+    result = kernel_of_incarnation(w, w, cfg_n)
     report = kernel_report_json(result)
     if cfg.format == "json":
         print(_dump(report))

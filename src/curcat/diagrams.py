@@ -672,6 +672,11 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+# asym(k) expands to k! permutation terms; asym(7) parses in about half a
+# second and every step up multiplies the time by about k.
+ASYM_LIMIT = 7
+
+
 class _Parser:
     """Recursive descent over: expr := term (("+"|"-") term)*;
     term := [coeff] tens (";" tens)*; tens := atom ("@" atom)*.
@@ -785,8 +790,14 @@ class _Parser:
             k_tok = self.next()
             if k_tok[0] != "num" or "/" in k_tok[1]:
                 raise ParseError("asym takes an integer", k_tok[2])
+            k = int(k_tok[1])
+            if k > ASYM_LIMIT:
+                raise ParseError(
+                    f"asym({k}) has {k}! terms; the parser admits k <= {ASYM_LIMIT}",
+                    k_tok[2],
+                )
             self.expect(")")
-            return antisymmetrizer(int(k_tok[1]), self.flavor or ORIENTED)
+            return antisymmetrizer(k, self.flavor or ORIENTED)
         if name == "perm":
             self.expect("[")
             images = [self.int_arg()]

@@ -27,6 +27,7 @@ from curcat.exact import (
     cyclo_ring,
     matrix_from_columns,
     rank,
+    ring_of,
     rref,
     solve_affine,
 )
@@ -192,17 +193,7 @@ def characters_trivial_on(group: FiniteAbelianGroup, elements) -> list[Character
 
 
 def _ring_of_scalars(values) -> Ring:
-    ring = RATIONAL_RING
-    for v in values:
-        if isinstance(v, CycloNumber):
-            other = cyclo_ring(v.conductor)
-            if ring is RATIONAL_RING:
-                ring = other
-            elif ring != other:
-                raise UnsupportedRingError(
-                    f"mixed conductors: {ring.name} vs {other.name}"
-                )
-    return ring
+    return _join_rings(*(ring_of(v) for v in values))
 
 
 def _join_rings(*rings: Ring) -> Ring:

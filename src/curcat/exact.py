@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 import re
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence, Union
@@ -564,7 +565,9 @@ class ExactMatrix:
                 raise ValueError("cannot infer the scalar kind of an empty matrix")
             ring = ring_of(sample)
         if ring is RATIONAL_RING:
-            rows = tuple(tuple(Fraction(x) for x in r) for r in rows)
+            rows = tuple(
+                tuple(x if type(x) is Fraction else Fraction(x) for x in r) for r in rows
+            )
         object.__setattr__(self, "rows", len(rows))
         object.__setattr__(self, "cols", ncols)
         object.__setattr__(self, "entries", rows)
@@ -728,12 +731,23 @@ def _require_field(m: ExactMatrix) -> None:
 def rref(m: ExactMatrix) -> tuple[ExactMatrix, int, tuple[int, ...]]:
     """Reduced row-echelon form with deterministic leftmost pivoting.
 
-    Returns (reduced matrix, rank, pivot column indices).
+    Returns (reduced matrix, rank, pivot column indices). Rational matrices
+    are eliminated fraction-free (``_rational_rref``); cyclotomic ones by
+    Gauss-Jordan over the field. Both give the same pivots and the same
+    reduced matrix, since each integer row stays a nonzero multiple of the
+    row the field loop would hold.
     """
     _require_field(m)
-    rows = [list(r) for r in m.entries]
-    nrows, ncols = m.rows, m.cols
-    inv = m.ring.inv
+    if m.ring is RATIONAL_RING:
+        rows, pivots = _rational_rref(m.entries, m.cols)
+    else:
+        rows, pivots = _field_rref(m.entries, m.cols, m.ring.inv)
+    return ExactMatrix(rows, m.ring, cols=m.cols), len(pivots), tuple(pivots)
+
+
+def _field_rref(entries, ncols: int, inv: Callable) -> tuple[list[list], list[int]]:
+    rows = [list(r) for r in entries]
+    nrows = len(rows)
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
@@ -751,11 +765,71 @@ def rref(m: ExactMatrix) -> tuple[ExactMatrix, int, tuple[int, ...]]:
         r += 1
         if r == nrows:
             break
-    return ExactMatrix(rows, m.ring), len(pivots), tuple(pivots)
+    return rows, pivots
+
+
+def _primitive(row: list[int]) -> list[int]:
+    """The row divided by its content (the gcd of its entries)."""
+    g = math.gcd(*row)
+    return row if g <= 1 else [x // g for x in row]
+
+
+def _rational_rref(
+    entries: Sequence[Sequence[Fraction]], ncols: int
+) -> tuple[list[list[Fraction]], list[int]]:
+    """Gauss-Jordan in Python ints: rows are scaled to primitive integer rows,
+    eliminated with ``a*row_i - f*row_r`` and divided by their pivots only at
+    the end, so no Fraction is normalized inside the loop."""
+    rows = []
+    for row in entries:
+        lcm = math.lcm(*(x.denominator for x in row))
+        rows.append(_primitive([x.numerator * (lcm // x.denominator) for x in row]))
+    nrows = len(rows)
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        prow = rows[r]
+        a = prow[c]
+        for i in range(nrows):
+            f = rows[i][c]
+            if i != r and f:
+                rows[i] = _primitive([a * x - f * y for x, y in zip(rows[i], prow)])
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    zero = Fraction(0)
+    reduced = [
+        [Fraction(x, row[c]) if x else zero for x in row] for row, c in zip(rows, pivots)
+    ]
+    reduced += [[zero] * ncols for _ in range(nrows - len(pivots))]
+    return reduced, pivots
 
 
 def rank(m: ExactMatrix) -> int:
     return rref(m)[1]
+
+
+def _null_vectors(reduced: ExactMatrix, pivots: Sequence[int], cols: int) -> list[tuple]:
+    """Null space basis read off a reduced echelon form: one vector per free
+    column among the first ``cols``, with entry one there and the negated
+    reduced entries at the pivot columns."""
+    pivot_set = set(pivots)
+    zero, one = reduced.ring.zero, reduced.ring.one
+    basis = []
+    for fc in range(cols):
+        if fc in pivot_set:
+            continue
+        vec = [zero] * cols
+        vec[fc] = one
+        for r_idx, pc in enumerate(pivots):
+            vec[pc] = -reduced.entries[r_idx][fc]
+        basis.append(tuple(vec))
+    return basis
 
 
 def kernel_basis(m: ExactMatrix) -> list[tuple]:
@@ -765,21 +839,16 @@ def kernel_basis(m: ExactMatrix) -> list[tuple]:
     entries at the pivot columns.
     """
     reduced, _, pivots = rref(m)
-    pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
-    zero, one = m.ring.zero, m.ring.one
-    basis = []
-    for fc in free:
-        vec = [zero] * m.cols
-        vec[fc] = one
-        for r_idx, pc in enumerate(pivots):
-            vec[pc] = -reduced.entries[r_idx][fc]
-        basis.append(tuple(vec))
-    return basis
+    return _null_vectors(reduced, pivots, m.cols)
 
 
 def solve_affine(a: ExactMatrix, b: Sequence) -> AffineSolutionSpace:
-    """Solve A x = b exactly, returning the full affine solution space."""
+    """Solve A x = b exactly, returning the full affine solution space.
+
+    One elimination of the augmented matrix serves both parts: when the
+    system is consistent no pivot lies in the last column, so the first
+    ``a.cols`` columns of the reduced matrix are the reduced form of A.
+    """
     _require_field(a)
     if len(b) != a.rows:
         raise ValueError(f"right-hand side has length {len(b)}, expected {a.rows}")
@@ -787,7 +856,7 @@ def solve_affine(a: ExactMatrix, b: Sequence) -> AffineSolutionSpace:
         # No constraints: everything solves.
         return AffineSolutionSpace(
             particular=tuple([a.ring.zero] * a.cols),
-            basis=tuple(kernel_basis(ExactMatrix.zeros(1, a.cols, a.ring))),
+            basis=tuple(_null_vectors(a, (), a.cols)),
         )
     aug = ExactMatrix(
         [list(row) + [rhs] for row, rhs in zip(a.entries, b)], a.ring
@@ -800,7 +869,8 @@ def solve_affine(a: ExactMatrix, b: Sequence) -> AffineSolutionSpace:
     for r_idx, pc in enumerate(pivots):
         particular[pc] = reduced.entries[r_idx][a.cols]
     return AffineSolutionSpace(
-        particular=tuple(particular), basis=tuple(kernel_basis(a))
+        particular=tuple(particular),
+        basis=tuple(_null_vectors(reduced, pivots, a.cols)),
     )
 
 

@@ -9,6 +9,15 @@ delta-polynomial coefficients specialize at n before entering a matrix.
 
 Multi-index flattening is row-major with the leftmost tensor factor most
 significant; hom spaces flatten codomain-major (row index first).
+
+Kernels of the realization map never build those matrices. Let M be the
+matrix whose columns are the flattened realizations of the matchings of a
+hom space. Over Q, M and its Gram matrix G = M^T M have the same rank and
+the same null space, and the entry of G at (i, j) is n raised to the number
+of closed loops in the union of matchings i and j (Brauer's pairing): a
+joint index assignment must be constant along each loop. The row spaces of
+M and G agree, so their reduced echelon forms have the same nonzero rows,
+and the kernel basis read off from G is the one M would give.
 """
 from __future__ import annotations
 
@@ -33,7 +42,7 @@ from curcat.diagrams import (
 from curcat.exact import (
     RATIONAL_RING,
     ExactMatrix,
-    kernel_basis,
+    _null_vectors,
     matrix_from_columns,
     rref,
 )
@@ -156,16 +165,20 @@ class KernelResult:
 def kernel_of_incarnation(
     w1: Word | str, w2: Word | str, cfg: IncarnationConfig
 ) -> KernelResult:
-    """Kernel of (matching coefficients) -> (flattened matrices)."""
+    """Kernel of (matching coefficients) -> (flattened matrices).
+
+    Computed from the Gram matrix of the realizations (see the module
+    docstring): rank, pivots and kernel basis come from one reduction of
+    that hom x hom integer matrix, and equal those of the n^len x hom
+    realization matrix, because both have the same row space over Q.
+    """
     w1 = w1 if isinstance(w1, Word) else word(w1)
     w2 = w2 if isinstance(w2, Word) else word(w2)
     basis = hom_basis(w1, w2)
-    columns = [list(incarnate_matching(m, cfg).flatten()) for m in basis]
     if not basis:
         return KernelResult(w1, w2, cfg.n, (), 0, 0, 0, ())
-    mat = matrix_from_columns(columns, RATIONAL_RING)
-    vectors = kernel_basis(mat)
-    _, rank, _ = rref(mat)
+    reduced, rank, pivots = rref(_gram_matrix(basis, cfg.n))
+    vectors = _null_vectors(reduced, pivots, len(basis))
     return KernelResult(
         w1,
         w2,
@@ -174,8 +187,53 @@ def kernel_of_incarnation(
         len(basis),
         rank,
         len(vectors),
-        tuple(tuple(v) for v in vectors),
+        tuple(vectors),
     )
+
+
+def _endpoint_partners(m: Matching) -> list[int]:
+    """The matching as an involution on its endpoints, bottom points first."""
+    offset = len(m.domain)
+    partner = [0] * (offset + len(m.codomain))
+    for a, b in m.pairs:
+        i = a[1] if a[0] == "bot" else offset + a[1]
+        j = b[1] if b[0] == "bot" else offset + b[1]
+        partner[i], partner[j] = j, i
+    return partner
+
+
+def _loops(p: list[int], q: list[int]) -> int:
+    """Closed loops in the union of two matchings of the same endpoints.
+
+    Every endpoint has one partner in each matching, so each component is a
+    loop that alternates between p and q; walk each one once.
+    """
+    seen = [False] * len(p)
+    loops = 0
+    for start in range(len(p)):
+        if seen[start]:
+            continue
+        loops += 1
+        x = start
+        while not seen[x]:
+            seen[x] = True
+            y = p[x]
+            seen[y] = True
+            x = q[y]
+    return loops
+
+
+def _gram_matrix(basis: list[Matching], n: int) -> ExactMatrix:
+    """Entry (i, j) is the inner product of the realizations of matchings i
+    and j, which is n ** loops(i, j); the matrix is symmetric."""
+    partners = [_endpoint_partners(m) for m in basis]
+    powers = [Fraction(n**c) for c in range(len(partners[0]) + 1)]
+    size = len(basis)
+    gram = [[0] * size for _ in range(size)]
+    for i, p in enumerate(partners):
+        for j in range(i, size):
+            gram[i][j] = gram[j][i] = powers[_loops(p, partners[j])]
+    return ExactMatrix(gram, RATIONAL_RING)
 
 
 def kernel_report_json(result: KernelResult) -> dict:

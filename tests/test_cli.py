@@ -2,10 +2,13 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
-from curcat.cli import main
+from curcat.cli import KERNEL_HOM_LIMIT, _end_dimension, main
+from curcat.diagrams import ASYM_LIMIT, parse_expr, word
+from curcat.incarnate import hom_basis
 
 INDUCED_PAIR = {
     "lie": "oriented-gl",
@@ -87,6 +90,14 @@ def test_normalize_rejects_zero_denominator(capsys):
     code, _, err = run(capsys, ["normalize", "1/0 id(u)"])
     assert code == 2
     assert "zero denominator" in err
+
+
+def test_normalize_refuses_antisymmetrizers_above_the_bound(capsys):
+    code, out, err = run(capsys, ["normalize", f"asym({ASYM_LIMIT + 1})"])
+    assert code == 2
+    assert out == ""
+    assert f"k <= {ASYM_LIMIT}" in err
+    assert len(parse_expr(f"asym({ASYM_LIMIT})").terms) == math.factorial(ASYM_LIMIT)
 
 
 def test_delta_flag_rejects_junk():
@@ -173,6 +184,23 @@ def test_kernel_rejects_bad_letters(capsys):
     code, _, err = run(capsys, ["kernel", "uq"])
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("word_text", ["uuuuuuu", "udududu", "ssssss"])
+def test_kernel_refuses_hom_spaces_above_the_bound(capsys, word_text):
+    code, out, err = run(capsys, ["kernel", word_text])
+    assert code == 2
+    assert out == ""
+    assert f"at most {KERNEL_HOM_LIMIT}" in err
+
+
+@pytest.mark.parametrize(
+    "word_text", ["", "u", "ud", "uudu", "ss", "sss", "uuuuuu", "sssss"]
+)
+def test_end_dimension_counts_the_matchings(word_text):
+    w = word(word_text)
+    assert _end_dimension(w) == len(hom_basis(w, w))
+    assert _end_dimension(w) <= KERNEL_HOM_LIMIT
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tests for the exact scalar kinds and the dense linear algebra on them."""
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -205,6 +206,84 @@ def test_rref_pivots_leftmost_and_rank():
     assert reduced.entries[0] == (Fraction(1), Fraction(0), Fraction(-1), Fraction(-2))
     assert reduced.entries[1] == (Fraction(0), Fraction(1), Fraction(2), Fraction(3))
     assert reduced.entries[2] == (Fraction(0),) * 4
+
+
+def _reference_rref(rows: list[list], one) -> tuple[list[list], list[int]]:
+    """Textbook Gauss-Jordan over a field with leftmost pivoting."""
+    rows = [list(r) for r in rows]
+    ncols = len(rows[0]) if rows else 0
+    pivots: list[int] = []
+    for c in range(ncols):
+        r = len(pivots)
+        found = [i for i in range(r, len(rows)) if rows[i][c]]
+        if not found:
+            continue
+        rows[r], rows[found[0]] = rows[found[0]], rows[r]
+        pivot = rows[r][c]
+        rows[r] = [x * (one / pivot) for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return rows, pivots
+
+
+def _random_rational_matrix(rng: random.Random) -> list[list[Fraction]]:
+    nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
+    depth = rng.randint(0, min(nrows, ncols))
+
+    def entry():
+        return Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 7]))
+
+    # A product of random nrows x depth and depth x ncols factors has rank at
+    # most depth, so wide, tall and rank-deficient shapes all occur.
+    left = [[entry() for _ in range(depth)] for _ in range(nrows)]
+    right = [[entry() for _ in range(ncols)] for _ in range(depth)]
+    columns = list(zip(*right)) or [()] * ncols
+    rows = [
+        [sum((a * b for a, b in zip(lrow, col)), Fraction(0)) for col in columns]
+        for lrow in left
+    ]
+    if rng.random() < 0.3:
+        rows[rng.randrange(nrows)] = [Fraction(0)] * ncols
+    if rng.random() < 0.3:
+        zero_col = rng.randrange(ncols)
+        for row in rows:
+            row[zero_col] = Fraction(0)
+    return rows
+
+
+def test_rational_rref_matches_reference_gauss_jordan():
+    rng = random.Random(20240)
+    for _ in range(300):
+        rows = _random_rational_matrix(rng)
+        reduced, rk, pivots = rref(ExactMatrix(rows, RATIONAL_RING))
+        want, want_pivots = _reference_rref(rows, Fraction(1))
+        assert reduced.entries == tuple(tuple(r) for r in want)
+        assert pivots == tuple(want_pivots)
+        assert rk == len(want_pivots)
+
+
+def test_cyclotomic_rref_matches_reference_gauss_jordan():
+    rng = random.Random(20241)
+    ring = cyclo_ring(5)
+    for _ in range(30):
+        nrows, ncols = rng.randint(1, 4), rng.randint(1, 4)
+        rows = [
+            [
+                CycloNumber(5, [Fraction(rng.randint(-3, 3)) for _ in range(4)])
+                for _ in range(ncols)
+            ]
+            for _ in range(nrows)
+        ]
+        if nrows > 1:
+            rows[-1] = [x * CycloNumber.zeta(5, 2) for x in rows[0]]
+        reduced, rk, pivots = rref(ExactMatrix(rows, ring))
+        want, want_pivots = _reference_rref(rows, ring.one)
+        assert reduced.entries == tuple(tuple(r) for r in want)
+        assert pivots == tuple(want_pivots)
+        assert rk == len(want_pivots)
 
 
 def test_kernel_basis_exact():

@@ -22,7 +22,7 @@ from curcat.diagrams import (
     tensor,
     word,
 )
-from curcat.exact import RATIONAL_RING, ExactMatrix
+from curcat.exact import RATIONAL_RING, ExactMatrix, rank
 from curcat.incarnate import (
     IncarnationConfig,
     antisymmetrizer_kernel_check,
@@ -238,6 +238,47 @@ def test_kernel_report_shape():
     assert rep["hom_dimension"] == 2 and rep["kernel_dimension"] == 1
     assert len(rep["basis"]) == 1 and len(rep["basis"][0]) == 2
     json.dumps(rep)
+
+
+def _dense_realization_rows(w1: str, w2: str, n: int) -> list[tuple[Fraction, ...]]:
+    """Distinct nonzero rows of the matrix whose columns are the flattened
+    realizations of the matchings of Hom(w1, w2); dropping repeated and zero
+    rows changes neither the rank nor the null space."""
+    cfg = IncarnationConfig(n)
+    columns = [incarnate_matching(m, cfg).flatten() for m in hom_basis(w1, w2)]
+    rows = set(zip(*columns))
+    return [row for row in rows if any(row)]
+
+
+@pytest.mark.parametrize(
+    "w1,w2,n",
+    [
+        ("uuuu", "uuuu", 2),
+        ("uuuu", "uuuu", 3),
+        ("udud", "udud", 2),
+        ("sss", "sss", 2),
+        ("ssss", "ssss", 2),
+        ("ud", "udud", 2),
+        ("ss", "ssss", 2),
+    ],
+)
+def test_gram_kernel_agrees_with_the_dense_realization(w1, w2, n):
+    result = kernel_of_incarnation(w1, w2, IncarnationConfig(n))
+    rows = _dense_realization_rows(w1, w2, n)
+    dense = ExactMatrix(rows, RATIONAL_RING, cols=result.hom_dimension)
+    assert rank(dense) == result.rank
+    for vec in result.basis:
+        assert all(sum(a * b for a, b in zip(row, vec)) == 0 for row in rows)
+
+
+def test_kernel_reports_match_the_frozen_dense_output():
+    """The frozen file holds `curcat kernel W --n N --format json` output
+    computed at commit 03388ae, which reduced the dense realization matrix."""
+    for key, expected in frozen("frozen_kernel_json.json").items():
+        w, n = key.split(",n=")
+        result = kernel_of_incarnation(w, w, IncarnationConfig(int(n)))
+        got = json.dumps(kernel_report_json(result), indent=2, sort_keys=True)
+        assert got == json.dumps(expected, indent=2, sort_keys=True), key
 
 
 # ---------------------------------------------------------------------------
