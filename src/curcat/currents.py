@@ -42,6 +42,7 @@ from curcat.incarnate import IncarnationConfig, incarnate
 from curcat.karoubi import (
     KarMorphism,
     KarObject,
+    _placed,
     kar_braiding,
     kar_compose,
     kar_diag,
@@ -454,11 +455,8 @@ def _unknown_basis(V: KarObject, W: KarObject) -> list[tuple[int, int, Matching]
 def _unit_morphism(
     V: KarObject, W: KarObject, ti: int, sj: int, m: Matching
 ) -> KarMorphism:
-    blocks = [
-        [DiagMorphism.zero(sw, tw) for sw in V.summands] for tw in W.summands
-    ]
-    blocks[ti][sj] = DiagMorphism.from_matching(m)
-    return KarMorphism(V, W, tuple(tuple(r) for r in blocks))
+    unit = DiagMorphism.from_matching(m)
+    return KarMorphism(V, W, _placed(V.summands, W.summands, [(ti, sj, unit)]))
 
 
 def _is_plain(obj: KarObject) -> bool:

@@ -3,13 +3,16 @@
 A morphism between orientation words is stored as an exact linear combination
 of matchings (perfect pairings of the boundary points), with coefficients in
 the delta-polynomial ring. Composition glues two matchings, follows paths, and
-converts each closed loop into one factor of delta; tensoring shifts indices.
+converts each closed loop into one factor of delta; tensoring relabels endpoints.
 Equality of morphisms is equality of term maps, so every identity that holds
 here holds on the nose, not up to rewriting.
 
 Boundary points: bottom points 0..k-1 carry the domain word, top points 0..l-1
-the codomain word. An endpoint is ("bot", i) or ("top", j); tuple comparison
-gives the canonical order (all bottom points before all top points).
+the codomain word. Inside a matching they are numbered on one line, bottom
+point i as i and top point j as k + j, and the matching is stored as the
+fixed-point-free involution partner on 0..k+l-1. The endpoint tuples
+("bot", i) and ("top", j) of the public `pairs` view and of the JSON format
+are derived from it; their tuple order is the order of the numbers.
 
 The oriented flavor has letters u/d (strand directions); a pair must be either
 a through strand with equal letters or a turn-back connecting opposite letters
@@ -110,25 +113,54 @@ def empty_word(flavor: str = ORIENTED) -> Word:
     return Word(flavor, ())
 
 
-def _letter_at(domain: Word, codomain: Word, point: Endpoint) -> str:
+def _endpoint(x: int, k: int) -> Endpoint:
+    """The endpoint tuple of number x on a boundary with k bottom points."""
+    return ("bot", x) if x < k else ("top", x - k)
+
+
+def _endpoint_number(point: Endpoint, k: int, l: int) -> int:
+    """The number of ("bot", i) or ("top", j) with k bottom and l top points."""
     side, idx = point
-    w = domain if side == "bot" else codomain
-    if not 0 <= idx < len(w):
+    if side not in ("bot", "top") or isinstance(idx, bool) or not isinstance(idx, int):
+        raise DiagramTypeError(f"malformed endpoint {point}")
+    if not 0 <= idx < (k if side == "bot" else l):
         raise DiagramTypeError(f"endpoint {point} out of range")
-    return w.letters[idx]
+    return idx if side == "bot" else k + idx
+
+
+def _pairable(letters: tuple[str, ...], k: int, a: int, b: int) -> bool:
+    """Whether endpoints a and b may be paired, where letters is the domain
+    word followed by the codomain word and k is the domain length.
+
+    Unoriented points pair freely; an oriented through strand joins equal
+    letters and an oriented turn-back joins opposite ones.
+    """
+    if letters[a] == "s":
+        return True
+    return (letters[a] == letters[b]) != ((a < k) == (b < k))
 
 
 @dataclasses.dataclass(frozen=True, order=True)
 class Matching:
     """A perfect pairing of the boundary points of a (domain, codomain) pair.
 
-    Stored canonically: each pair has its smaller endpoint first, pairs are
-    sorted by their smaller endpoint. Use Matching.make to build one.
+    Stored as the involution partner: with k = len(domain), bottom point i
+    is endpoint i, top point j is endpoint k + j, and partner[x] is the
+    endpoint paired with x. Matching.make validates endpoint pairs and is
+    the entry for generators, the parser and JSON; composites, tensors and
+    enumerations are valid by construction and call the constructor.
+
+    The derived `pairs` lists each pair smaller endpoint first, sorted by
+    that endpoint. Ordering matchings of one boundary by partner orders them
+    by pairs: let x be the first index where involutions p and q differ.
+    Were p[x] < x, then q[p[x]] = p[p[x]] = x would force q[x] = p[x]; so x
+    opens a pair in both, all pairs opened before x agree, and the pair
+    lists first differ at (x, p[x]) against (x, q[x]).
     """
 
     domain: Word
     codomain: Word
-    pairs: tuple[tuple[Endpoint, Endpoint], ...]
+    partner: tuple[int, ...]
 
     @staticmethod
     def make(
@@ -138,107 +170,85 @@ class Matching:
     ) -> "Matching":
         if domain.flavor != codomain.flavor:
             raise DiagramTypeError("domain and codomain flavors differ")
-        canon = tuple(sorted(tuple(sorted(p)) for p in pairs))
-        seen: set[Endpoint] = set()
+        k = len(domain)
+        letters = domain.letters + codomain.letters
+        canon = sorted(
+            tuple(sorted(_endpoint_number(p, k, len(codomain)) for p in pair))
+            for pair in pairs
+        )
+        partner = [-1] * len(letters)
         for a, b in canon:
             if a == b:
-                raise DiagramTypeError(f"endpoint {a} paired with itself")
-            for pt in (a, b):
-                if pt in seen:
-                    raise DiagramTypeError(f"endpoint {pt} used twice")
-                seen.add(pt)
-            la = _letter_at(domain, codomain, a)
-            lb = _letter_at(domain, codomain, b)
-            if domain.flavor == ORIENTED:
-                if a[0] == b[0]:
-                    if la == lb:
-                        raise DiagramTypeError(
-                            f"turn-back {a}-{b} needs opposite orientations"
-                        )
-                elif la != lb:
-                    raise DiagramTypeError(
-                        f"through strand {a}-{b} needs equal orientations"
-                    )
-        if len(seen) != len(domain) + len(codomain):
+                raise DiagramTypeError(f"endpoint {_endpoint(a, k)} paired with itself")
+            for x in (a, b):
+                if partner[x] >= 0:
+                    raise DiagramTypeError(f"endpoint {_endpoint(x, k)} used twice")
+            if not _pairable(letters, k, a, b):
+                turn_back = (a < k) == (b < k)
+                raise DiagramTypeError(
+                    f"{'turn-back' if turn_back else 'through strand'} "
+                    f"{_endpoint(a, k)}-{_endpoint(b, k)} needs "
+                    f"{'opposite' if turn_back else 'equal'} orientations"
+                )
+            partner[a], partner[b] = b, a
+        if 2 * len(canon) != len(letters):
             raise DiagramTypeError(
-                f"matching covers {len(seen)} of {len(domain) + len(codomain)} points"
+                f"matching covers {2 * len(canon)} of {len(letters)} points"
             )
-        return Matching(domain, codomain, canon)
+        return Matching(domain, codomain, tuple(partner))
 
-    def partner_map(self) -> dict[Endpoint, Endpoint]:
-        out: dict[Endpoint, Endpoint] = {}
-        for a, b in self.pairs:
-            out[a] = b
-            out[b] = a
-        return out
+    @property
+    def pairs(self) -> tuple[tuple[Endpoint, Endpoint], ...]:
+        k = len(self.domain)
+        return tuple(
+            (_endpoint(a, k), _endpoint(b, k))
+            for a, b in enumerate(self.partner)
+            if a < b
+        )
 
     def pair_text(self) -> str:
         return "".join(f"({a[0][0]}{a[1]}-{b[0][0]}{b[1]})" for a, b in self.pairs)
 
 
-def _compose_matchings(
-    f: Matching, g: Matching
-) -> tuple[tuple[tuple[Endpoint, Endpoint], ...], int]:
+def _compose_matchings(f: Matching, g: Matching) -> tuple[tuple[int, ...], int]:
     """Glue g's top boundary to f's bottom boundary.
 
-    Returns the resulting pairs on (g.domain, f.codomain) plus the number of
-    closed loops swallowed in the middle.
+    Both matchings act on one line of endpoints: g's bottom points 0..a-1,
+    the glued middle points a..a+b-1, then f's top points (g keeps its
+    numbers, f's are shifted by a). Returns the partner tuple on
+    (g.domain, f.codomain) and the number of closed loops, which run
+    through middle points only.
     """
-    gp = g.partner_map()
-    fp = f.partner_map()
-
-    def walk(layer: str, point: Endpoint) -> tuple[str, Endpoint, list[int]]:
-        touched: list[int] = []
-        while True:
-            nxt = gp[point] if layer == "g" else fp[point]
-            if layer == "g":
-                if nxt[0] == "bot":
-                    return "bot", nxt, touched
-                touched.append(nxt[1])
-                layer, point = "f", ("bot", nxt[1])
-            else:
-                if nxt[0] == "top":
-                    return "top", nxt, touched
-                touched.append(nxt[1])
-                layer, point = "g", ("top", nxt[1])
-
-    new_pairs: list[tuple[Endpoint, Endpoint]] = []
-    done: set[Endpoint] = set()
-    seen_mid: set[int] = set()
-    externals = [("g", ("bot", i)) for i in range(len(g.domain))] + [
-        ("f", ("top", j)) for j in range(len(f.codomain))
-    ]
-    for layer, start in externals:
-        key = (layer, start)
-        if key in done:
+    a, b = len(g.domain), len(g.codomain)
+    gp = g.partner
+    fp = [0] * a + [x + a for x in f.partner]
+    middle = range(a, a + b)
+    seen = [False] * (a + b)
+    partner = [-1] * (a + len(f.codomain))
+    for start in range(len(partner)):
+        if partner[start] >= 0:
             continue
-        side, end, touched = walk(layer, start)
-        seen_mid.update(touched)
-        end_layer = "g" if side == "bot" else "f"
-        done.add(key)
-        done.add((end_layer, end))
-        new_pairs.append((start, end))
-
+        x, in_g = (start, True) if start < a else (start + b, False)
+        while True:
+            x = gp[x] if in_g else fp[x]
+            if x not in middle:
+                break
+            seen[x] = True
+            in_g = not in_g
+        end = x if x < a else x - b
+        partner[start], partner[end] = end, start
     loops = 0
-    for m in range(len(g.codomain)):
-        if m in seen_mid:
+    for m in middle:
+        if seen[m]:
             continue
         loops += 1
-        seen_mid.add(m)
-        layer, point = "f", ("bot", m)
-        while True:
-            nxt = fp[point] if layer == "f" else gp[point]
-            mid = nxt[1]
-            if mid == m and (
-                (layer == "f" and nxt[0] == "bot") or (layer == "g" and nxt[0] == "top")
-            ):
-                break
-            seen_mid.add(mid)
-            layer, point = ("g", ("top", mid)) if layer == "f" else ("f", ("bot", mid))
-    return tuple(new_pairs), loops
-
-
-_Coeff = DeltaPoly
+        x = m
+        while not seen[x]:
+            seen[x] = True
+            x = fp[x]
+            seen[x] = True
+            x = gp[x]
+    return tuple(partner), loops
 
 
 def _as_coeff(c) -> DeltaPoly:
@@ -250,7 +260,8 @@ def _as_coeff(c) -> DeltaPoly:
 class DiagMorphism:
     """An exact linear combination of matchings with delta-polynomial coefficients.
 
-    Terms are kept sorted by matching; zero coefficients are dropped, so two
+    Terms are kept sorted by matching partner tuple, which is the order of
+    their pairs (see Matching); zero coefficients are dropped, so two
     morphisms are equal exactly when their term lists coincide.
     """
 
@@ -277,7 +288,7 @@ class DiagMorphism:
             else:
                 acc.pop(m, None)
         object.__setattr__(
-            self, "terms", tuple(sorted(acc.items(), key=lambda kv: kv[0].pairs))
+            self, "terms", tuple(sorted(acc.items(), key=lambda kv: kv[0].partner))
         )
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "codomain", codomain)
@@ -413,9 +424,7 @@ class DiagMorphism:
 def _retag_scalar(f: DiagMorphism, flavor: str) -> DiagMorphism:
     """Move a unit-object endomorphism to the other flavor's unit object."""
     e = empty_word(flavor)
-    return DiagMorphism(
-        e, e, [(Matching.make(e, e, []), c) for _, c in f.terms]
-    )
+    return DiagMorphism(e, e, [(Matching(e, e, ()), c) for _, c in f.terms])
 
 
 def _match_flavors(
@@ -438,12 +447,11 @@ def compose(f: DiagMorphism, g: DiagMorphism) -> DiagMorphism:
             f"cannot compose: inner boundaries {g.codomain} vs {f.domain} differ"
         )
     acc: dict[Matching, DeltaPoly] = {}
-    delta = DeltaPoly.delta()
     for mf, cf in f.terms:
         for mg, cg in g.terms:
-            pairs, loops = _compose_matchings(mf, mg)
-            m = Matching.make(g.domain, f.codomain, pairs)
-            c = cf * cg * delta**loops
+            partner, loops = _compose_matchings(mf, mg)
+            m = Matching(g.domain, f.codomain, partner)
+            c = cf * cg * DeltaPoly.delta(loops)
             acc[m] = acc.get(m, DeltaPoly.zero()) + c
     return DiagMorphism(g.domain, f.codomain, acc)
 
@@ -453,17 +461,16 @@ def tensor(f: DiagMorphism, g: DiagMorphism) -> DiagMorphism:
     f, g = _match_flavors(f, g)
     dom = f.domain + g.domain
     cod = f.codomain + g.codomain
-    bshift, tshift = len(f.domain), len(f.codomain)
-
-    def shift(p: Endpoint) -> Endpoint:
-        side, i = p
-        return (side, i + (bshift if side == "bot" else tshift))
-
+    k1, l1, k = len(f.domain), len(f.codomain), len(dom)
+    # Endpoint x of f, or endpoint x - k1 - l1 of g, lands on at[x] of the
+    # juxtaposition; src inverts at.
+    at = [*range(k1), *range(k, k + l1), *range(k1, k), *range(k + l1, k + len(cod))]
+    src = sorted(range(len(at)), key=at.__getitem__)
     acc: dict[Matching, DeltaPoly] = {}
     for mf, cf in f.terms:
         for mg, cg in g.terms:
-            pairs = mf.pairs + tuple((shift(a), shift(b)) for a, b in mg.pairs)
-            m = Matching.make(dom, cod, pairs)
+            joint = [*mf.partner, *(x + k1 + l1 for x in mg.partner)]
+            m = Matching(dom, cod, tuple(at[joint[x]] for x in src))
             acc[m] = acc.get(m, DeltaPoly.zero()) + cf * cg
     return DiagMorphism(dom, cod, acc)
 
@@ -599,38 +606,32 @@ def antisymmetrizer(k: int, flavor: str = ORIENTED) -> DiagMorphism:
 
 
 def all_matchings(domain: Word, codomain: Word) -> list[Matching]:
-    """Every valid matching from domain to codomain, in lexicographic order."""
+    """Every valid matching from domain to codomain, in increasing order.
+
+    The smallest free endpoint is paired first, with each admissible partner
+    in increasing order, so the partner tuples come out sorted.
+    """
     if domain.flavor != codomain.flavor:
         raise DiagramTypeError("flavor mismatch")
-    points = [("bot", i) for i in range(len(domain))] + [
-        ("top", j) for j in range(len(codomain))
-    ]
-    if len(points) % 2:
+    k = len(domain)
+    letters = domain.letters + codomain.letters
+    if len(letters) % 2:
         return []
-
-    def ok(a: Endpoint, b: Endpoint) -> bool:
-        if domain.flavor == UNORIENTED:
-            return True
-        la = _letter_at(domain, codomain, a)
-        lb = _letter_at(domain, codomain, b)
-        return (la == lb) if a[0] != b[0] else (la != lb)
-
     out: list[Matching] = []
+    partner = [0] * len(letters)
 
-    def recurse(free: list[Endpoint], acc: list[tuple[Endpoint, Endpoint]]):
+    def recurse(free: list[int]):
         if not free:
-            out.append(Matching(domain, codomain, tuple(acc)))
+            out.append(Matching(domain, codomain, tuple(partner)))
             return
         a = free[0]
         for idx in range(1, len(free)):
             b = free[idx]
-            if ok(a, b):
-                acc.append((a, b))
-                recurse(free[1:idx] + free[idx + 1 :], acc)
-                acc.pop()
+            if _pairable(letters, k, a, b):
+                partner[a], partner[b] = b, a
+                recurse(free[1:idx] + free[idx + 1 :])
 
-    recurse(points, [])
-    out.sort(key=lambda m: m.pairs)
+    recurse(list(range(len(letters))))
     return out
 
 
@@ -887,21 +888,24 @@ def _render_text(f: DiagMorphism) -> str:
     return "\n".join(lines)
 
 
-def _tikz_point(side: str, idx: int) -> tuple[float, float]:
-    return (0.5 * idx, 0.0 if side == "bot" else 1.0)
+def _tikz_point(x: int, k: int) -> tuple[float, float]:
+    return (0.5 * x, 0.0) if x < k else (0.5 * (x - k), 1.0)
 
 
 def _render_tikz(f: DiagMorphism) -> str:
     chunks = []
     for m, c in f.terms:
         lines = [f"% coeff {c}", r"\begin{tikzpicture}"]
-        for a, b in m.pairs:
-            xa, ya = _tikz_point(*a)
-            xb, yb = _tikz_point(*b)
-            la = _letter_at(m.domain, m.codomain, a)
-            style = "-" if f.flavor == UNORIENTED else ("->" if la == "u" else "<-")
-            if a[0] == b[0]:
-                bend = 0.5 if a[0] == "bot" else -0.5
+        k = len(m.domain)
+        letters = m.domain.letters + m.codomain.letters
+        for a, b in enumerate(m.partner):
+            if b < a:
+                continue
+            xa, ya = _tikz_point(a, k)
+            xb, yb = _tikz_point(b, k)
+            style = {"s": "-", "u": "->", "d": "<-"}[letters[a]]
+            if (a < k) == (b < k):
+                bend = 0.5 if a < k else -0.5
                 lines.append(
                     f"  \\draw[{style}] ({xa},{ya}) .. controls ({xa},{ya + bend}) "
                     f"and ({xb},{yb + bend}) .. ({xb},{yb});"

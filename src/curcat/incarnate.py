@@ -74,7 +74,7 @@ def hom_basis(w1: Word | str, w2: Word | str) -> list[Matching]:
     return all_matchings(w1, w2)
 
 
-def _digits_to_index(digits: tuple[int, ...], n: int) -> int:
+def _digits_to_index(digits: list[int], n: int) -> int:
     idx = 0
     for d in digits:
         idx = idx * n + d
@@ -89,21 +89,17 @@ def incarnate_matching(m: Matching, cfg: IncarnationConfig) -> ExactMatrix:
     per pair.
     """
     n = cfg.n
+    k = len(m.domain)
     rows = cfg.space_dim(m.codomain)
     cols = cfg.space_dim(m.domain)
     entries = [[Fraction(0)] * cols for _ in range(rows)]
-    pairs = m.pairs
-    for assignment in iproduct(range(n), repeat=len(pairs)):
-        bot = [0] * len(m.domain)
-        top = [0] * len(m.codomain)
-        for (p, q), value in zip(pairs, assignment):
-            for side, i in (p, q):
-                if side == "bot":
-                    bot[i] = value
-                else:
-                    top[i] = value
-        r = _digits_to_index(tuple(top), n)
-        c = _digits_to_index(tuple(bot), n)
+    opens = [x for x, y in enumerate(m.partner) if x < y]
+    digits = [0] * len(m.partner)
+    for assignment in iproduct(range(n), repeat=len(opens)):
+        for x, value in zip(opens, assignment):
+            digits[x] = digits[m.partner[x]] = value
+        r = _digits_to_index(digits[k:], n)
+        c = _digits_to_index(digits[:k], n)
         entries[r][c] += 1
     return ExactMatrix(entries, RATIONAL_RING, cols=cols)
 
@@ -191,18 +187,7 @@ def kernel_of_incarnation(
     )
 
 
-def _endpoint_partners(m: Matching) -> list[int]:
-    """The matching as an involution on its endpoints, bottom points first."""
-    offset = len(m.domain)
-    partner = [0] * (offset + len(m.codomain))
-    for a, b in m.pairs:
-        i = a[1] if a[0] == "bot" else offset + a[1]
-        j = b[1] if b[0] == "bot" else offset + b[1]
-        partner[i], partner[j] = j, i
-    return partner
-
-
-def _loops(p: list[int], q: list[int]) -> int:
+def _loops(p: tuple[int, ...], q: tuple[int, ...]) -> int:
     """Closed loops in the union of two matchings of the same endpoints.
 
     Every endpoint has one partner in each matching, so each component is a
@@ -226,7 +211,7 @@ def _loops(p: list[int], q: list[int]) -> int:
 def _gram_matrix(basis: list[Matching], n: int) -> ExactMatrix:
     """Entry (i, j) is the inner product of the realizations of matchings i
     and j, which is n ** loops(i, j); the matrix is symmetric."""
-    partners = [_endpoint_partners(m) for m in basis]
+    partners = [m.partner for m in basis]
     powers = [Fraction(n**c) for c in range(len(partners[0]) + 1)]
     size = len(basis)
     gram = [[0] * size for _ in range(size)]

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from curcat.diagrams import (
     DiagMorphism,
@@ -53,6 +53,33 @@ def _check_block_shape(
                     f"block ({i},{j}) has boundary {b.domain}->{b.codomain}, "
                     f"expected {cols[j]}->{rows[i]}"
                 )
+
+
+def _placed(
+    sources: Sequence[Word],
+    targets: Sequence[Word],
+    entries: Iterable[tuple[int, int, DiagMorphism]],
+) -> Blocks:
+    """The block matrix from sources to targets holding each (row, column,
+    block) entry and zero blocks everywhere else."""
+    given = {(i, j): b for i, j, b in entries}
+    return tuple(
+        tuple(
+            given[i, j] if (i, j) in given else DiagMorphism.zero(sw, tw)
+            for j, sw in enumerate(sources)
+        )
+        for i, tw in enumerate(targets)
+    )
+
+
+def _shifted(
+    blocks: Blocks, row_off: int, col_off: int
+) -> Iterable[tuple[int, int, DiagMorphism]]:
+    """The entries of a block matrix moved down by row_off and right by
+    col_off, for _placed."""
+    for i, row in enumerate(blocks):
+        for j, b in enumerate(row):
+            yield row_off + i, col_off + j, b
 
 
 def _mat_compose(a: Blocks, b: Blocks) -> Blocks:
@@ -223,14 +250,7 @@ def kar_identity(obj: KarObject) -> KarMorphism:
 
 
 def kar_zero(source: KarObject, target: KarObject) -> KarMorphism:
-    return KarMorphism(
-        source,
-        target,
-        tuple(
-            tuple(DiagMorphism.zero(sw, tw) for sw in source.summands)
-            for tw in target.summands
-        ),
-    )
+    return KarMorphism(source, target, _placed(source.summands, target.summands, ()))
 
 
 def kar_compose(f: KarMorphism, g: KarMorphism) -> KarMorphism:
@@ -278,21 +298,12 @@ def kar_tensor(f: KarMorphism, g: KarMorphism) -> KarMorphism:
 def kar_direct_sum(objects: Sequence[KarObject]) -> KarObject:
     """Block-diagonal direct sum."""
     summands = tuple(w for obj in objects for w in obj.summands)
-    n = len(summands)
-    offsets = []
+    entries = []
     off = 0
     for obj in objects:
-        offsets.append(off)
+        entries.extend(_shifted(obj.idempotent, off, off))
         off += len(obj.summands)
-    blocks = [
-        [DiagMorphism.zero(summands[j], summands[i]) for j in range(n)]
-        for i in range(n)
-    ]
-    for obj, off in zip(objects, offsets):
-        for i, row in enumerate(obj.idempotent):
-            for j, b in enumerate(row):
-                blocks[off + i][off + j] = b
-    return KarObject(summands, _freeze_blocks(blocks))
+    return KarObject(summands, _placed(summands, summands, entries))
 
 
 def kar_inclusion(
@@ -301,17 +312,8 @@ def kar_inclusion(
     """The inclusion of parts[index] into their direct sum."""
     part = parts[index]
     off = sum(len(p.summands) for p in parts[:index])
-    blocks = [
-        [
-            DiagMorphism.zero(sw, tw)
-            for sw in part.summands
-        ]
-        for tw in total.summands
-    ]
-    for i, row in enumerate(part.idempotent):
-        for j, b in enumerate(row):
-            blocks[off + i][j] = b
-    return KarMorphism(part, total, _freeze_blocks(blocks))
+    blocks = _placed(part.summands, total.summands, _shifted(part.idempotent, off, 0))
+    return KarMorphism(part, total, blocks)
 
 
 def kar_projection(
@@ -320,17 +322,8 @@ def kar_projection(
     """The projection of the direct sum onto parts[index]."""
     part = parts[index]
     off = sum(len(p.summands) for p in parts[:index])
-    blocks = [
-        [
-            DiagMorphism.zero(sw, tw)
-            for sw in total.summands
-        ]
-        for tw in part.summands
-    ]
-    for i, row in enumerate(part.idempotent):
-        for j, b in enumerate(row):
-            blocks[i][off + j] = b
-    return KarMorphism(total, part, _freeze_blocks(blocks))
+    blocks = _placed(total.summands, part.summands, _shifted(part.idempotent, 0, off))
+    return KarMorphism(total, part, blocks)
 
 
 def kar_braiding(a: KarObject, b: KarObject) -> KarMorphism:
@@ -338,18 +331,12 @@ def kar_braiding(a: KarObject, b: KarObject) -> KarMorphism:
     source = kar_tensor_objects(a, b)
     target = kar_tensor_objects(b, a)
     na, nb = len(a.summands), len(b.summands)
-    raw = [
-        [
-            DiagMorphism.zero(source.summands[j], target.summands[i])
-            for j in range(na * nb)
-        ]
-        for i in range(na * nb)
-    ]
-    for i in range(na):
-        for j in range(nb):
-            src_idx = i * nb + j
-            tgt_idx = j * na + i
-            raw[tgt_idx][src_idx] = swap_words(a.summands[i], b.summands[j])
+    swaps = (
+        (j * na + i, i * nb + j, swap_words(wa, wb))
+        for i, wa in enumerate(a.summands)
+        for j, wb in enumerate(b.summands)
+    )
+    raw = _placed(source.summands, target.summands, swaps)
     return kar_sandwich(source, target, raw)
 
 

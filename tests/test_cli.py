@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -35,6 +36,20 @@ def run(capsys, argv):
 
 # ---------------------------------------------------------------------------
 # normalize
+
+
+def test_normalize_matches_the_frozen_output(capsys):
+    """tests/oracles/frozen_normalize.json holds the stdout of
+    `curcat normalize EXPR --format F` for text, json and tikz, generated at
+    commit 7e54625, when matchings were still stored as endpoint pairs."""
+    frozen = json.loads(
+        (Path(__file__).parent / "oracles" / "frozen_normalize.json").read_text()
+    )
+    assert len(frozen) >= 8
+    for expr, outputs in frozen.items():
+        for fmt, expected in outputs.items():
+            code, out, err = run(capsys, ["normalize", expr, "--format", fmt])
+            assert (code, out, err) == (0, expected, ""), (expr, fmt)
 
 
 def test_normalize_specialized_loop(capsys):

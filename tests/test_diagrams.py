@@ -4,6 +4,7 @@ renderers."""
 from __future__ import annotations
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -323,10 +324,38 @@ def test_matching_counts_match_brute_force_oracle():
         assert got == frozen[key], key
 
 
+def _random_combination(rng, dom, cod):
+    ms = all_matchings(dom, cod)
+    terms = [(rng.choice(ms), rng.randint(-2, 2)) for _ in range(rng.randint(1, 4))]
+    return DiagMorphism(dom, cod, terms)
+
+
+def _random_word(rng, flavor, k):
+    letters = "s" if flavor == "unoriented" else "ud"
+    return word("".join(rng.choice(letters) for _ in range(k)), flavor)
+
+
 def test_matchings_sorted_and_unique():
-    ms = all_matchings(word("uuu"), word("uuu"))
-    assert ms == sorted(ms, key=lambda m: m.pairs)
-    assert len(set(ms)) == len(ms)
+    for dom, cod in [
+        ("uuu", "uuu"), ("udu", "u"), ("", "udud"),
+        ("sss", "sss"), ("ssss", "ss"), ("ssssss", ""),
+    ]:
+        ms = all_matchings(word(dom), word(cod, word(dom).flavor))
+        assert ms == sorted(ms, key=lambda m: m.pairs), (dom, cod)
+        assert len(set(ms)) == len(ms)
+    # Terms of composites and tensors come out in the order of their pairs.
+    rng = random.Random(20)
+    checked = 0
+    while checked < 150:
+        flavor = rng.choice(["oriented", "unoriented"])
+        a, b, c = (_random_word(rng, flavor, rng.randint(0, 4)) for _ in range(3))
+        if not (all_matchings(a, b) and all_matchings(b, c)):
+            continue
+        g, f = _random_combination(rng, a, b), _random_combination(rng, b, c)
+        for h in (compose(f, g), tensor(f, g)):
+            keys = [m.pairs for m, _ in h.terms]
+            assert keys == sorted(set(keys))
+        checked += 1
 
 
 # ---------------------------------------------------------------------------
@@ -432,6 +461,31 @@ def test_render_json_round_trip_with_delta_coeffs():
         cup("ud"), cap("ud")
     )
     assert parse_json(render(f, "json")) == f
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [
+        ["bot", 1, "xyz", 1],
+        ["bot", 1, "top", "1"],
+        ["bot", 1, "top", 1.0],
+        ["bot", 1, "top", True],
+        [1, 1, "top", 1],
+        ["bot", 1, "top", 2],
+    ],
+)
+def test_parse_json_rejects_malformed_endpoints(pair):
+    """Only ("bot" | "top", int index in range) names an endpoint."""
+    text = json.dumps(
+        {
+            "flavor": "oriented",
+            "domain": "uu",
+            "codomain": "uu",
+            "terms": [{"pairs": [["bot", 0, "top", 0], pair], "coeff": "1"}],
+        }
+    )
+    with pytest.raises(DiagramTypeError):
+        parse_json(text)
 
 
 def test_render_tikz_mentions_every_strand():
