@@ -499,7 +499,11 @@ def _morphism_system(
     W: CurrentModule,
     degree_bound: int,
     delta: Fraction,
-) -> tuple[list[list[Fraction]], list[Fraction], list[tuple[int, int, Matching]]]:
+) -> tuple[
+    list[list[Fraction]], list[Fraction], list[tuple[int, int, Matching]], list[KarMorphism]
+]:
+    """Rows and right-hand side of the morphism condition, with the unknowns
+    (one per summand pair and matching) and their unit morphisms."""
     if V.lie != W.lie:
         raise DiagramTypeError("modules live over different Lie objects")
     unknowns = _unknown_basis(V.carrier, W.carrier)
@@ -522,7 +526,7 @@ def _morphism_system(
         new_rows = _expand_rows(residuals, delta)
         rows.extend(new_rows)
         rhs.extend([Fraction(0)] * len(new_rows))
-    return rows, rhs, unknowns
+    return rows, rhs, unknowns, units
 
 
 def current_morphism_space(
@@ -538,7 +542,7 @@ def current_morphism_space(
             "the solver needs a numeric loop value (pass delta=...)"
         )
     delta = Fraction(delta)
-    rows, rhs, unknowns = _morphism_system(V, W, degree_bound, delta)
+    rows, rhs, unknowns, _ = _morphism_system(V, W, degree_bound, delta)
     mat = ExactMatrix(rows, RATIONAL_RING, cols=len(unknowns))
     space = solve_affine(mat, rhs)
     return MorphismSpaceResult(degree_bound, space, tuple(unknowns))
@@ -557,7 +561,7 @@ def incarnation_preimage_space(
     """
     cfg = IncarnationConfig(n, V.carrier.flavor)
     delta = Fraction(n)
-    rows, rhs, unknowns = _morphism_system(V, W, degree_bound, delta)
+    rows, rhs, unknowns, units = _morphism_system(V, W, degree_bound, delta)
     expect_rows = sum(cfg.space_dim(w) for w in W.carrier.summands)
     expect_cols = sum(cfg.space_dim(w) for w in V.carrier.summands)
     if target.rows != expect_rows or target.cols != expect_cols:
@@ -565,9 +569,6 @@ def incarnation_preimage_space(
             f"target is {target.rows}x{target.cols}, expected "
             f"{expect_rows}x{expect_cols}"
         )
-    units = [
-        _unit_morphism(V.carrier, W.carrier, ti, sj, m) for ti, sj, m in unknowns
-    ]
     columns = [list(incarnate(u, cfg).flatten()) for u in units]
     flat_target = list(target.flatten())
     for r in range(len(flat_target)):

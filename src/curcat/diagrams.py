@@ -676,6 +676,10 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 # asym(k) expands to k! permutation terms; asym(7) parses in about half a
 # second and every step up multiplies the time by about k.
 ASYM_LIMIT = 7
+# A ";" or "@" visits every pair of operand terms, about 45 microseconds a
+# pair on a 2-core VM: asym(5) ; asym(5) has 14,400 pairs, asym(6) ; asym(6)
+# has 518,400.
+TERM_PAIR_LIMIT = 50_000
 
 
 class _Parser:
@@ -736,25 +740,27 @@ class _Parser:
                 raise ParseError(f"zero denominator in {val!r}", pos) from e
             if self.peek()[1] == "*":
                 self.next()
-        result = self.tens()
-        while self.peek()[1] == ";":
-            self.next()
-            pos = self.peek()[2]
-            rhs = self.tens()
-            try:
-                result = compose(result, rhs)
-            except DiagramTypeError as e:
-                raise ParseError(str(e), pos) from e
-        return result.scale(coeff)
+        return self.chain(";", self.tens, compose).scale(coeff)
 
     def tens(self) -> DiagMorphism:
-        result = self.atom()
-        while self.peek()[1] == "@":
+        return self.chain("@", self.atom, tensor)
+
+    def chain(self, op: str, operand, combine) -> DiagMorphism:
+        """operand (op operand)*, folded left with combine."""
+        result = operand()
+        while self.peek()[1] == op:
             self.next()
             pos = self.peek()[2]
-            rhs = self.atom()
+            rhs = operand()
+            pairs = len(result.terms) * len(rhs.terms)
+            if pairs > TERM_PAIR_LIMIT:
+                raise ParseError(
+                    f"{op!r} joins {len(result.terms)} x {len(rhs.terms)} = {pairs} "
+                    f"term pairs; the parser admits at most {TERM_PAIR_LIMIT}",
+                    pos,
+                )
             try:
-                result = tensor(result, rhs)
+                result = combine(result, rhs)
             except DiagramTypeError as e:
                 raise ParseError(str(e), pos) from e
         return result
@@ -867,14 +873,32 @@ def diag_to_json_dict(f: DiagMorphism) -> dict:
     }
 
 
+def _json_field(obj, key: str, kind: type):
+    if not isinstance(obj, dict) or not isinstance(obj.get(key), kind):
+        raise DiagramTypeError(
+            f"diagram JSON needs an object with {kind.__name__} {key!r}"
+        )
+    return obj[key]
+
+
 def diag_from_json_dict(obj: dict) -> DiagMorphism:
-    flavor = obj["flavor"]
-    dom = word(obj["domain"], flavor)
-    cod = word(obj["codomain"], flavor)
+    """Read the JSON form of ``render``; malformed input raises DiagramTypeError."""
+    flavor = _json_field(obj, "flavor", str)
+    dom = word(_json_field(obj, "domain", str), flavor)
+    cod = word(_json_field(obj, "codomain", str), flavor)
     terms = []
-    for t in obj["terms"]:
-        pairs = [((p[0], p[1]), (p[2], p[3])) for p in t["pairs"]]
-        terms.append((Matching.make(dom, cod, pairs), DeltaPoly.parse(t["coeff"])))
+    for t in _json_field(obj, "terms", list):
+        pairs = []
+        for p in _json_field(t, "pairs", list):
+            if not isinstance(p, list) or len(p) != 4:
+                raise DiagramTypeError(f"a pair lists four entries, got {p!r}")
+            pairs.append(((p[0], p[1]), (p[2], p[3])))
+        text = _json_field(t, "coeff", str)
+        try:
+            coeff = DeltaPoly.parse(text)
+        except ValueError as exc:
+            raise DiagramTypeError(f"bad coefficient {text!r}: {exc}") from exc
+        terms.append((Matching.make(dom, cod, pairs), coeff))
     return DiagMorphism(dom, cod, terms)
 
 

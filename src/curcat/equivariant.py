@@ -24,6 +24,7 @@ from curcat.exact import (
     ExactMatrix,
     Ring,
     UnsupportedRingError,
+    _poly_divmod,
     cyclo_ring,
     matrix_from_columns,
     rank,
@@ -346,23 +347,14 @@ def fd_algebra(structure, commutative: bool = True, unit=None) -> FDAlgebra:
 def truncated_polynomial_algebra(n: int, conductor: int = 1) -> FDAlgebra:
     """One variable modulo its n-th power, basis 1, t, ..., t^(n-1).
 
+    Entries are rational, or cyclotomic of the given conductor above two.
+
     >>> A = truncated_polynomial_algebra(4)
     >>> A.multiply((0, 1, 0, 0), (0, 0, 1, 0))[3]
     Fraction(1, 1)
     """
     ring = RATIONAL_RING if conductor <= 2 else cyclo_ring(conductor)
-    structure = [
-        [
-            tuple(
-                ring.one if (k == i + j and i + j < n) else ring.zero
-                for k in range(n)
-            )
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    unit = tuple(ring.one if k == 0 else ring.zero for k in range(n))
-    return fd_algebra(structure, commutative=True, unit=unit)
+    return _quotient_algebra([0] * n, ring)
 
 
 def polynomial_quotient_algebra(modulus) -> FDAlgebra:
@@ -374,28 +366,24 @@ def polynomial_quotient_algebra(modulus) -> FDAlgebra:
     >>> A.multiply((0, 1), (0, 1))
     (Fraction(1, 1), Fraction(0, 1))
     """
-    low = [Fraction(c) for c in modulus]
-    n = len(low)
-    if n == 0:
+    if not modulus:
         raise EquivariantDataError("the modulus needs positive degree")
-    reduction = tuple(-c for c in low)
+    return _quotient_algebra(modulus, RATIONAL_RING)
 
-    def reduce_power(k: int) -> list[Fraction]:
-        vec = [Fraction(0)] * n
-        if k < n:
-            vec[k] = Fraction(1)
-            return vec
-        prev = reduce_power(k - 1)
-        shifted = [Fraction(0)] + prev[: n - 1]
-        for t, c in enumerate(reduction):
-            shifted[t] += prev[n - 1] * c
-        return shifted
 
-    structure = [
-        [tuple(reduce_power(i + j)) for j in range(n)] for i in range(n)
-    ]
-    unit = tuple(Fraction(1 if k == 0 else 0) for k in range(n))
-    return fd_algebra(structure, commutative=True, unit=unit)
+def _quotient_algebra(modulus, ring: Ring) -> FDAlgebra:
+    """Q[t] modulo t^n + c_(n-1) t^(n-1) + ... + c_0 with entries in ring:
+    the product of basis vectors t^i and t^j is t^(i+j) mod the modulus."""
+    monic = [Fraction(c) for c in modulus] + [Fraction(1)]
+    n = len(modulus)
+
+    def power(k: int) -> tuple:
+        _, rem = _poly_divmod([Fraction(0)] * k + [Fraction(1)], monic)
+        rem += [Fraction(0)] * (n - len(rem))
+        return tuple(_promote_scalar(c, ring) for c in rem)
+
+    structure = [[power(i + j) for j in range(n)] for i in range(n)]
+    return fd_algebra(structure, commutative=True, unit=power(0))
 
 
 @dataclasses.dataclass(frozen=True)

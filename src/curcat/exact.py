@@ -9,6 +9,10 @@ Three scalar kinds are used throughout the engine:
   - CycloNumber: elements of Q[x]/(Phi_m(x)) for the m-th cyclotomic
     polynomial, used for character values of finite abelian groups.
 
+Both polynomial kinds store a dense ascending tuple of Fraction coefficients
+with no trailing zero, and share their ring arithmetic and text form
+(``_DensePoly``); a CycloNumber additionally reduces modulo Phi_m.
+
 Matrices are dense with one scalar kind per matrix. Row reduction, kernels and
 affine solving work over the field kinds (Rational, CycloNumber) with
 deterministic leftmost pivoting; DeltaPoly matrices refuse (specialize delta
@@ -40,51 +44,101 @@ def parse_rational(text: str) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# polynomials in delta
+# dense polynomials: coefficient lists, ascending, no trailing zero
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
-class DeltaPoly:
-    """A polynomial in the loop parameter, with Fraction coefficients.
+def _as_fractions(coeffs: Iterable) -> list[Fraction]:
+    return [x if type(x) is Fraction else Fraction(x) for x in coeffs]
 
-    Stored as a sorted tuple of (degree, coefficient) pairs with no zero
-    coefficients; instances are immutable and hashable.
+
+def _poly_trim(c: list[Fraction]) -> list[Fraction]:
+    while c and not c[-1]:
+        c.pop()
+    return c
+
+
+def _poly_add(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, y in enumerate(b):
+        out[i] += y
+    return _poly_trim(out)
+
+
+def _poly_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
+    if not a or not b:
+        return []
+    out = [_ZERO] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if not x:
+            continue
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _poly_trim(out)
+
+
+def _poly_divmod(
+    n: Sequence[Fraction], d: Sequence[Fraction]
+) -> tuple[list[Fraction], list[Fraction]]:
+    r = _poly_trim(list(n))
+    d = _poly_trim(list(d))
+    if not d:
+        raise ZeroDivisionError("polynomial division by zero")
+    q = [_ZERO] * max(0, len(r) - len(d) + 1)
+    while r and len(r) >= len(d):
+        f = r[-1] / d[-1]
+        k = len(r) - len(d)
+        q[k] = f
+        for i, c in enumerate(d):
+            r[k + i] -= f * c
+        _poly_trim(r)
+    return _poly_trim(q), r
+
+
+def _poly_ext_gcd(
+    a: Sequence[Fraction], b: Sequence[Fraction]
+) -> tuple[list[Fraction], list[Fraction], list[Fraction]]:
+    """Return (g, s, t) with s*a + t*b = g, g monic."""
+    r0, r1 = _poly_trim(list(a)), _poly_trim(list(b))
+    s0, s1 = [_ONE], []
+    t0, t1 = [], [_ONE]
+    while r1:
+        q, r = _poly_divmod(r0, r1)
+        neg_q = [-c for c in q]
+        r0, r1 = r1, r
+        s0, s1 = s1, _poly_add(s0, _poly_mul(neg_q, s1))
+        t0, t1 = t1, _poly_add(t0, _poly_mul(neg_q, t1))
+    if r0:
+        lead = r0[-1]
+        r0 = [c / lead for c in r0]
+        s0 = [c / lead for c in s0]
+        t0 = [c / lead for c in t0]
+    return r0, s0, t0
+
+
+class _DensePoly:
+    """Ring arithmetic shared by the polynomial scalar kinds.
+
+    ``coeffs`` is an ascending tuple of Fractions with no trailing zero, so
+    the zero element has no coefficients. A subclass builds its results in
+    ``_new`` and names its variable in ``_VAR`` for the text form.
     """
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Iterable[tuple[int, Fraction]] = ()):
-        acc: dict[int, Fraction] = {}
-        for deg, c in coeffs:
-            if deg < 0:
-                raise ValueError("negative degree")
-            c = Fraction(c)
-            if c:
-                acc[deg] = acc.get(deg, Fraction(0)) + c
-        object.__setattr__(
-            self, "coeffs", tuple(sorted((d, c) for d, c in acc.items() if c))
-        )
-
     def __setattr__(self, name, value):
-        raise AttributeError("DeltaPoly is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
-    @classmethod
-    def zero(cls) -> "DeltaPoly":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "DeltaPoly":
-        return cls(((0, Fraction(1)),))
-
-    @classmethod
-    def constant(cls, q) -> "DeltaPoly":
-        return cls(((0, Fraction(q)),))
-
-    @classmethod
-    def delta(cls, power: int = 1) -> "DeltaPoly":
-        return cls(((power, Fraction(1)),))
-
-    def as_dict(self) -> dict[int, Fraction]:
-        return dict(self.coeffs)
+    def _coerced(self, other):
+        if isinstance(other, type(self)):
+            return other
+        if isinstance(other, (int, Fraction)):
+            return self._new((other,))
+        return None
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -92,70 +146,141 @@ class DeltaPoly:
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
-    def is_constant(self) -> bool:
-        return all(d == 0 for d, _ in self.coeffs)
-
-    def constant_value(self) -> Fraction:
-        if not self.is_constant():
-            raise ValueError(f"not a constant polynomial: {self}")
-        return self.coeffs[0][1] if self.coeffs else Fraction(0)
-
-    @property
-    def degree(self) -> int:
-        """Degree of the leading term; the zero polynomial has degree -1."""
-        return self.coeffs[-1][0] if self.coeffs else -1
-
-    def _coerced(self, other) -> "DeltaPoly | None":
-        if isinstance(other, DeltaPoly):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return DeltaPoly.constant(other)
-        return None
-
-    def __add__(self, other) -> "DeltaPoly":
+    def __add__(self, other):
         o = self._coerced(other)
         if o is None:
             return NotImplemented
-        return DeltaPoly(self.coeffs + o.coeffs)
+        return self._new(_poly_add(self.coeffs, o.coeffs))
 
     __radd__ = __add__
 
-    def __neg__(self) -> "DeltaPoly":
-        return DeltaPoly((d, -c) for d, c in self.coeffs)
+    def __neg__(self):
+        return self._new([-c for c in self.coeffs])
 
-    def __sub__(self, other) -> "DeltaPoly":
+    def __sub__(self, other):
         o = self._coerced(other)
         if o is None:
             return NotImplemented
         return self + (-o)
 
-    def __rsub__(self, other) -> "DeltaPoly":
+    def __rsub__(self, other):
         o = self._coerced(other)
         if o is None:
             return NotImplemented
         return o + (-self)
 
-    def __mul__(self, other) -> "DeltaPoly":
+    def __mul__(self, other):
         o = self._coerced(other)
         if o is None:
             return NotImplemented
-        return DeltaPoly(
-            (d1 + d2, c1 * c2) for d1, c1 in self.coeffs for d2, c2 in o.coeffs
-        )
+        return self._new(_poly_mul(self.coeffs, o.coeffs))
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "DeltaPoly":
+    def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power")
-        acc = DeltaPoly.one()
-        for _ in range(n):
-            acc = acc * self
+        acc, base = self._new((_ONE,)), self
+        while n:
+            if n & 1:
+                acc = acc * base
+            base = base * base
+            n >>= 1
         return acc
+
+    def __str__(self) -> str:
+        """Serialize as "c0 + c1*x + c2*x^2 + ..." (nonzero terms only)."""
+        parts: list[str] = []
+        for deg, c in enumerate(self.coeffs):
+            if not c:
+                continue
+            mag = abs(c)
+            if deg == 0:
+                body = str(mag)
+            elif deg == 1:
+                body = f"{mag}*{self._VAR}"
+            else:
+                body = f"{mag}*{self._VAR}^{deg}"
+            if not parts:
+                parts.append(body if c > 0 else f"-{body}")
+            else:
+                parts.append(f" + {body}" if c > 0 else f" - {body}")
+        return "".join(parts) or "0"
+
+
+# ---------------------------------------------------------------------------
+# polynomials in delta
+
+
+class DeltaPoly(_DensePoly):
+    """A polynomial in the loop parameter, with Fraction coefficients.
+
+    Stored densely: ``coeffs[d]`` is the coefficient of delta^d, with no
+    trailing zero. Instances are immutable and hashable.
+
+    >>> p = DeltaPoly([1, Fraction(-1, 2)])
+    >>> str(p), str(p * p)
+    ('1 - 1/2*delta', '1 - 1*delta + 1/4*delta^2')
+    """
+
+    __slots__ = ()
+    _VAR = "delta"
+
+    def __init__(self, coeffs: Iterable = ()):
+        object.__setattr__(self, "coeffs", tuple(_poly_trim(_as_fractions(coeffs))))
+
+    def _new(self, coeffs: Sequence[Fraction]) -> "DeltaPoly":
+        return DeltaPoly(coeffs)
+
+    @classmethod
+    def _from_terms(cls, terms: Iterable[tuple[int, Fraction]]) -> "DeltaPoly":
+        """The sum of c*delta^d over (d, c) pairs; repeated degrees add up."""
+        coeffs: list[Fraction] = []
+        for deg, c in terms:
+            coeffs += [_ZERO] * (deg + 1 - len(coeffs))
+            coeffs[deg] += c
+        return cls(coeffs)
+
+    @classmethod
+    def zero(cls) -> "DeltaPoly":
+        return cls()
+
+    @classmethod
+    def one(cls) -> "DeltaPoly":
+        return cls((_ONE,))
+
+    @classmethod
+    def constant(cls, q) -> "DeltaPoly":
+        return cls((q,))
+
+    @classmethod
+    def delta(cls, power: int = 1) -> "DeltaPoly":
+        if power < 0:
+            raise ValueError("negative degree")
+        return cls([_ZERO] * power + [_ONE])
+
+    def as_dict(self) -> dict[int, Fraction]:
+        return {d: c for d, c in enumerate(self.coeffs) if c}
+
+    def is_constant(self) -> bool:
+        return len(self.coeffs) <= 1
+
+    def constant_value(self) -> Fraction:
+        if not self.is_constant():
+            raise ValueError(f"not a constant polynomial: {self}")
+        return self.coeffs[0] if self.coeffs else _ZERO
+
+    @property
+    def degree(self) -> int:
+        """Degree of the leading term; the zero polynomial has degree -1."""
+        return len(self.coeffs) - 1
 
     def evaluate(self, value) -> Fraction:
         value = Fraction(value)
-        return sum((c * value**d for d, c in self.coeffs), Fraction(0))
+        acc = _ZERO
+        for c in reversed(self.coeffs):
+            acc = acc * value + c
+        return acc
 
     def __eq__(self, other) -> bool:
         o = self._coerced(other)
@@ -165,29 +290,6 @@ class DeltaPoly:
 
     def __hash__(self) -> int:
         return hash(("DeltaPoly", self.coeffs))
-
-    def __str__(self) -> str:
-        """Serialize as "c0 + c1*delta + c2*delta^2 + ..." (nonzero terms only).
-
-        >>> str(DeltaPoly([(0, Fraction(1)), (1, Fraction(-1, 2))]))
-        '1 - 1/2*delta'
-        """
-        if not self.coeffs:
-            return "0"
-        parts: list[str] = []
-        for deg, c in self.coeffs:
-            mag = abs(c)
-            if deg == 0:
-                body = str(mag)
-            elif deg == 1:
-                body = f"{mag}*delta"
-            else:
-                body = f"{mag}*delta^{deg}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f" + {body}" if c > 0 else f" - {body}")
-        return "".join(parts)
 
     def __repr__(self) -> str:
         return f"DeltaPoly('{self}')"
@@ -224,7 +326,7 @@ class DeltaPoly:
                 c = Fraction(-1 if m.group("sign") == "-" else 1)
                 p = int(m.group("pow2")) if m.group("pow2") else 1
             pairs.append((p, c))
-        return cls(pairs)
+        return cls._from_terms(pairs)
 
 
 def specialize_delta(p: DeltaPoly, value) -> Fraction:
@@ -249,71 +351,6 @@ def _euler_phi(m: int) -> int:
     return result
 
 
-def _poly_trim(c: list[Fraction]) -> list[Fraction]:
-    while c and not c[-1]:
-        c.pop()
-    return c
-
-
-def _poly_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return _poly_trim(out)
-
-
-def _poly_divmod(
-    n: Sequence[Fraction], d: Sequence[Fraction]
-) -> tuple[list[Fraction], list[Fraction]]:
-    n = list(n)
-    _poly_trim(n)
-    d = list(d)
-    _poly_trim(d)
-    if not d:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(0, len(n) - len(d) + 1)
-    r = n
-    while r and len(r) >= len(d):
-        f = r[-1] / d[-1]
-        k = len(r) - len(d)
-        q[k] = f
-        for i, c in enumerate(d):
-            r[k + i] -= f * c
-        _poly_trim(r)
-    return _poly_trim(q), r
-
-
-def _poly_ext_gcd(
-    a: Sequence[Fraction], b: Sequence[Fraction]
-) -> tuple[list[Fraction], list[Fraction], list[Fraction]]:
-    """Return (g, s, t) with s*a + t*b = g, g monic."""
-    r0, r1 = _poly_trim(list(a)), _poly_trim(list(b))
-    s0, s1 = [Fraction(1)], []
-    t0, t1 = [], [Fraction(1)]
-    while r1:
-        q, r = _poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _poly_trim([x - y for x, y in _zip_pad(s0, _poly_mul(q, s1))])
-        t0, t1 = t1, _poly_trim([x - y for x, y in _zip_pad(t0, _poly_mul(q, t1))])
-    if r0:
-        lead = r0[-1]
-        r0 = [c / lead for c in r0]
-        s0 = [c / lead for c in s0]
-        t0 = [c / lead for c in t0]
-    return r0, s0, t0
-
-
-def _zip_pad(a: Sequence[Fraction], b: Sequence[Fraction]):
-    n = max(len(a), len(b))
-    for i in range(n):
-        yield (a[i] if i < len(a) else Fraction(0), b[i] if i < len(b) else Fraction(0))
-
-
 @functools.lru_cache(maxsize=None)
 def cyclotomic_coeffs(m: int) -> tuple[Fraction, ...]:
     """Coefficients (ascending) of the m-th cyclotomic polynomial.
@@ -322,7 +359,7 @@ def cyclotomic_coeffs(m: int) -> tuple[Fraction, ...]:
     """
     if m < 1:
         raise ValueError("conductor must be positive")
-    num: list[Fraction] = [Fraction(-1)] + [Fraction(0)] * (m - 1) + [Fraction(1)]
+    num: list[Fraction] = [Fraction(-1)] + [_ZERO] * (m - 1) + [_ONE]
     for d in range(1, m):
         if m % d == 0:
             num, rem = _poly_divmod(num, list(cyclotomic_coeffs(d)))
@@ -331,28 +368,29 @@ def cyclotomic_coeffs(m: int) -> tuple[Fraction, ...]:
     return tuple(num)
 
 
-class CycloNumber:
+class CycloNumber(_DensePoly):
     """An element of Q[x]/(Phi_m(x)), x mapping to a primitive m-th root of unity.
 
     The residue is stored with degree < phi(m); nonzero elements are invertible
     (extended gcd against the cyclotomic modulus, which is irreducible over Q).
     """
 
-    __slots__ = ("conductor", "coeffs")
+    __slots__ = ("conductor",)
+    _VAR = "z"
 
-    def __init__(self, conductor: int, coeffs: Iterable[Fraction] = ()):
+    def __init__(self, conductor: int, coeffs: Iterable = ()):
         phi = _euler_phi(conductor)
-        c = [Fraction(x) for x in coeffs]
+        c = _as_fractions(coeffs)
         if len(c) >= phi + 1:
-            _, c = _poly_divmod(c, list(cyclotomic_coeffs(conductor)))
+            _, c = _poly_divmod(c, cyclotomic_coeffs(conductor))
         _poly_trim(c)
         if len(c) > phi:
             raise AssertionError("reduction failed")
         object.__setattr__(self, "conductor", conductor)
         object.__setattr__(self, "coeffs", tuple(c))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("CycloNumber is immutable")
+    def _new(self, coeffs: Sequence[Fraction]) -> "CycloNumber":
+        return CycloNumber(self.conductor, coeffs)
 
     @classmethod
     def zero(cls, m: int) -> "CycloNumber":
@@ -360,64 +398,28 @@ class CycloNumber:
 
     @classmethod
     def one(cls, m: int) -> "CycloNumber":
-        return cls(m, (Fraction(1),))
+        return cls(m, (_ONE,))
 
     @classmethod
     def from_rational(cls, q, m: int) -> "CycloNumber":
-        return cls(m, (Fraction(q),))
+        return cls(m, (q,))
 
     @classmethod
     def zeta(cls, m: int, power: int = 1) -> "CycloNumber":
         """The primitive m-th root of unity, raised to the given power."""
-        power %= m
-        return cls(m, tuple(Fraction(0) for _ in range(power)) + (Fraction(1),))
+        return cls(m, [_ZERO] * (power % m) + [_ONE])
 
     def _coerced(self, other) -> "CycloNumber | None":
-        if isinstance(other, CycloNumber):
-            if other.conductor != self.conductor:
-                raise ValueError(
-                    f"conductor mismatch: {self.conductor} vs {other.conductor}"
-                )
-            return other
-        if isinstance(other, (int, Fraction)):
-            return CycloNumber.from_rational(other, self.conductor)
-        return None
-
-    def __add__(self, other):
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        return CycloNumber(self.conductor, (a + b for a, b in _zip_pad(self.coeffs, o.coeffs)))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return CycloNumber(self.conductor, (-a for a in self.coeffs))
-
-    def __sub__(self, other):
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
-    def __mul__(self, other):
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        return CycloNumber(self.conductor, _poly_mul(self.coeffs, o.coeffs))
-
-    __rmul__ = __mul__
+        if isinstance(other, CycloNumber) and other.conductor != self.conductor:
+            raise ValueError(
+                f"conductor mismatch: {self.conductor} vs {other.conductor}"
+            )
+        return super()._coerced(other)
 
     def inverse(self) -> "CycloNumber":
         if not self.coeffs:
             raise ZeroDivisionError("inverse of zero")
-        g, s, _ = _poly_ext_gcd(list(self.coeffs), list(cyclotomic_coeffs(self.conductor)))
+        g, s, _ = _poly_ext_gcd(self.coeffs, cyclotomic_coeffs(self.conductor))
         if len(g) != 1:
             raise AssertionError("modulus not coprime to nonzero residue")
         return CycloNumber(self.conductor, (c / g[0] for c in s))
@@ -437,20 +439,7 @@ class CycloNumber:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        acc = CycloNumber.one(self.conductor)
-        base = self
-        while n:
-            if n & 1:
-                acc = acc * base
-            base = base * base
-            n >>= 1
-        return acc
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return super().__pow__(n)
 
     def is_rational(self) -> bool:
         return len(self.coeffs) <= 1
@@ -462,7 +451,7 @@ class CycloNumber:
         """
         if not self.is_rational():
             raise ValueError(f"not a rational value: {self}")
-        return self.coeffs[0] if self.coeffs else Fraction(0)
+        return self.coeffs[0] if self.coeffs else _ZERO
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -473,21 +462,6 @@ class CycloNumber:
 
     def __hash__(self):
         return hash(("CycloNumber", self.conductor, self.coeffs))
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for deg, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            mag = abs(c)
-            body = str(mag) if deg == 0 else (f"{mag}*z" if deg == 1 else f"{mag}*z^{deg}")
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f" + {body}" if c > 0 else f" - {body}")
-        return "".join(parts)
 
     def __repr__(self):
         return f"CycloNumber({self.conductor}, '{self}')"
@@ -565,9 +539,7 @@ class ExactMatrix:
                 raise ValueError("cannot infer the scalar kind of an empty matrix")
             ring = ring_of(sample)
         if ring is RATIONAL_RING:
-            rows = tuple(
-                tuple(x if type(x) is Fraction else Fraction(x) for x in r) for r in rows
-            )
+            rows = tuple(tuple(_as_fractions(r)) for r in rows)
         object.__setattr__(self, "rows", len(rows))
         object.__setattr__(self, "cols", ncols)
         object.__setattr__(self, "entries", rows)

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from curcat.cli import KERNEL_HOM_LIMIT, _end_dimension, main
-from curcat.diagrams import ASYM_LIMIT, parse_expr, word
+from curcat.diagrams import ASYM_LIMIT, TERM_PAIR_LIMIT, parse_expr, word
 from curcat.incarnate import hom_basis
 
 INDUCED_PAIR = {
@@ -28,10 +28,21 @@ EVALUATION_PAIR = {
 }
 
 
+REPO = Path(__file__).resolve().parents[1]
+# Exit code and stdout of report commands, generated at commit 06f0484,
+# before the polynomial scalars moved to dense coefficient tuples.
+FROZEN_CLI = json.loads((REPO / "tests" / "oracles" / "frozen_cli.json").read_text())
+
+
 def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_frozen(code, out, argv):
+    frozen = FROZEN_CLI[" ".join(argv)]
+    assert (code, out) == (frozen["exit_code"], frozen["stdout"])
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +126,14 @@ def test_normalize_refuses_antisymmetrizers_above_the_bound(capsys):
     assert len(parse_expr(f"asym({ASYM_LIMIT})").terms) == math.factorial(ASYM_LIMIT)
 
 
+@pytest.mark.parametrize("expr", ["asym(6) ; asym(6)", "asym(6) @ asym(6)"])
+def test_normalize_refuses_composites_above_the_bound(capsys, expr):
+    code, out, err = run(capsys, ["normalize", expr])
+    assert code == 2
+    assert out == ""
+    assert f"at most {TERM_PAIR_LIMIT}" in err
+
+
 def test_delta_flag_rejects_junk():
     with pytest.raises(SystemExit) as excinfo:
         main(["normalize", "delta", "--delta", "two"])
@@ -127,6 +146,10 @@ def test_delta_flag_rejects_junk():
 
 @pytest.mark.parametrize("suite", ["lie-axioms", "current", "equivariant"])
 def test_verify_suites_pass(capsys, suite):
+    argv = ["verify", suite, "--format", "json"]
+    code, out, _ = run(capsys, argv)
+    assert_frozen(code, out, argv)
+    assert json.loads(out)["status"] == "pass"
     code, out, _ = run(capsys, ["verify", suite])
     assert code == 0
     assert "FAIL" not in out
@@ -222,11 +245,13 @@ def test_end_dimension_counts_the_matchings(word_text):
 # solve
 
 
-def test_solve_identity_preimage(capsys, tmp_path):
-    path = tmp_path / "pair.json"
-    path.write_text(json.dumps(INDUCED_PAIR))
-    code, out, _ = run(capsys, ["solve", "--input", str(path), "--format", "json"])
-    assert code == 0
+def test_solve_identity_preimage(capsys):
+    example = "scripts/solve_input.example.json"
+    assert json.loads((REPO / example).read_text()) == INDUCED_PAIR
+    code, out, _ = run(
+        capsys, ["solve", "--input", str(REPO / example), "--format", "json"]
+    )
+    assert_frozen(code, out, ["solve", "--input", example, "--format", "json"])
     report = json.loads(out)
     assert report["mode"] == "incarnation-preimage"
     assert report["n"] == 2
@@ -410,8 +435,9 @@ def test_reproduce_single_id(capsys):
 
 
 def test_reproduce_json_report(capsys):
-    code, out, _ = run(capsys, ["reproduce", "kernel10", "--format", "json"])
-    assert code == 0
+    argv = ["reproduce", "all", "--format", "json"]
+    code, out, _ = run(capsys, argv)
+    assert_frozen(code, out, argv)
     report = json.loads(out)
     assert report["status"] == "pass"
     keys = {check["key"] for rep in report["reproductions"] for check in rep["checks"]}

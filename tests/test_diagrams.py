@@ -472,11 +472,27 @@ def test_render_json_round_trip_with_delta_coeffs():
         ["bot", 1, "top", True],
         [1, 1, "top", 1],
         ["bot", 1, "top", 2],
+        ["bot", 0, "top"],
+        pytest.param(
+            '{"flavor": "oriented", "domain": "", "codomain": ""}', id="no-terms"
+        ),
+        pytest.param(
+            '{"flavor": "oriented", "domain": "u", "codomain": "u",'
+            ' "terms": [{"pairs": [["bot", 0, "top", 0]]}]}',
+            id="no-coeff",
+        ),
+        pytest.param(
+            '{"flavor": "oriented", "domain": "u", "codomain": "u",'
+            ' "terms": [{"pairs": [["bot", 0, "top", 0]], "coeff": 1}]}',
+            id="numeric-coeff",
+        ),
+        pytest.param("[]", id="list"),
     ],
 )
 def test_parse_json_rejects_malformed_endpoints(pair):
-    """Only ("bot" | "top", int index in range) names an endpoint."""
-    text = json.dumps(
+    """Only ("bot" | "top", int index in range) names an endpoint; a string
+    case is a whole document with a missing key or a value of the wrong type."""
+    text = pair if isinstance(pair, str) else json.dumps(
         {
             "flavor": "oriented",
             "domain": "uu",

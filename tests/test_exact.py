@@ -37,7 +37,7 @@ def small_delta_polys():
     return st.lists(
         st.tuples(st.integers(min_value=0, max_value=4), rationals),
         max_size=4,
-    ).map(DeltaPoly)
+    ).map(DeltaPoly._from_terms)
 
 
 def cyclo_numbers(m: int):
@@ -73,9 +73,11 @@ def test_delta_poly_str_roundtrip_examples():
         DeltaPoly.zero(),
         DeltaPoly.one(),
         DeltaPoly.delta(),
-        DeltaPoly([(0, Fraction(1)), (1, Fraction(-1, 2))]),
-        DeltaPoly([(3, Fraction(7, 5))]),
-        DeltaPoly([(0, Fraction(-2)), (2, Fraction(1)), (5, Fraction(-3, 4))]),
+        DeltaPoly._from_terms([(0, Fraction(1)), (1, Fraction(-1, 2))]),
+        DeltaPoly._from_terms([(3, Fraction(7, 5))]),
+        DeltaPoly._from_terms(
+            [(0, Fraction(-2)), (2, Fraction(1)), (5, Fraction(-3, 4))]
+        ),
     ]
     for p in cases:
         assert DeltaPoly.parse(str(p)) == p
