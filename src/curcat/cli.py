@@ -294,18 +294,25 @@ def cmd_verify(suite: str, cfg: RunConfig) -> int:
 KERNEL_HOM_LIMIT = 1000
 
 
-def _end_dimension(w: Word) -> int:
-    """Matchings on End(w): k! oriented, (2k-1)!! unoriented, k = len(w)."""
-    k = len(w)
-    if w.flavor == UNORIENTED:
-        return math.prod(range(1, 2 * k, 2))
-    return math.factorial(k)
+def _hom_dimension(w1: Word, w2: Word) -> int:
+    """Matchings from w1 to w2, counted without enumerating them.
+
+    Unoriented: (k+l-1)!! on k+l points, none for an odd total. Oriented: the
+    m points where a strand starts (u below, d above) pair with the points
+    where one ends (d below, u above), so m! if both counts are m, else none.
+    On End(w) these are (2k-1)!! and k! for k = len(w).
+    """
+    if w1.flavor == UNORIENTED:
+        points = len(w1) + len(w2)
+        return 0 if points % 2 else math.prod(range(1, points, 2))
+    m = w1.count("u") + w2.count("d")
+    return math.factorial(m) if m == w1.count("d") + w2.count("u") else 0
 
 
 def cmd_kernel(word_text: str, cfg: RunConfig) -> int:
     _require_report_format(cfg)
     w = word(word_text)
-    size = _end_dimension(w)
+    size = _hom_dimension(w, w)
     if size > KERNEL_HOM_LIMIT:
         raise CliError(
             f"End({w}) has {size} matchings; kernel admits at most "
@@ -329,6 +336,13 @@ def cmd_kernel(word_text: str, cfg: RunConfig) -> int:
 # solve
 
 
+# Largest unknown count `solve` accepts: one unknown per matching between a
+# summand of V and one of W. On a 2-core VM the example description with five
+# strands (uuuuu, asym(5); 120 unknowns) solves in about 4 s, and with six
+# strands (720 unknowns) it was still running after 60 s and 1.4 GB.
+SOLVE_UNKNOWN_LIMIT = 150
+
+
 def cmd_solve(cfg: RunConfig) -> int:
     _require_report_format(cfg)
     if not cfg.input:
@@ -347,6 +361,14 @@ def cmd_solve(cfg: RunConfig) -> int:
     lie = lie_object_by_name(desc.get("lie", "oriented-gl"))
     V = rule_from_description(lie, desc["V"])
     W = rule_from_description(lie, desc["W"])
+    unknowns = sum(
+        _hom_dimension(sw, tw) for tw in W.carrier.summands for sw in V.carrier.summands
+    )
+    if unknowns > SOLVE_UNKNOWN_LIMIT:
+        raise CliError(
+            f"the system has {unknowns} unknowns; solve admits at most "
+            f"{SOLVE_UNKNOWN_LIMIT}"
+        )
     target_name = desc.get("target")
     if target_name is not None:
         if target_name != "identity":

@@ -476,18 +476,18 @@ def _expand_rows(
     if not residuals:
         return []
     template = residuals[0]
-    index: dict[tuple[int, int, Matching], int] = {}
+    index: dict[tuple[int, int, tuple[int, ...]], int] = {}
     for bi, tw in enumerate(template.target.summands):
         for bj, sw in enumerate(template.source.summands):
             for m in all_matchings(sw, tw):
-                index[(bi, bj, m)] = len(index)
+                index[(bi, bj, m.partner)] = len(index)
     columns = []
     for km in residuals:
         col = [Fraction(0)] * len(index)
         for bi, row in enumerate(km.blocks):
             for bj, block in enumerate(row):
-                for m, c in block.terms:
-                    col[index[(bi, bj, m)]] = c.evaluate(delta)
+                for p, c in block.partner_terms:
+                    col[index[(bi, bj, p)]] = c.evaluate(delta)
         columns.append(col)
     return [
         [columns[k][r] for k in range(len(columns))] for r in range(len(index))

@@ -1,18 +1,25 @@
 """Strand-diagram morphisms in normal form.
 
-A morphism between orientation words is stored as an exact linear combination
-of matchings (perfect pairings of the boundary points), with coefficients in
-the delta-polynomial ring. Composition glues two matchings, follows paths, and
-converts each closed loop into one factor of delta; tensoring relabels endpoints.
-Equality of morphisms is equality of term maps, so every identity that holds
-here holds on the nose, not up to rewriting.
+A morphism between orientation words is an exact linear combination of
+matchings (perfect pairings of the boundary points), with coefficients in the
+delta-polynomial ring. Composition glues two matchings, follows paths, and
+shifts the coefficient by one degree of delta for each closed loop; tensoring
+relabels endpoints. Equality of morphisms is equality of term lists, so every
+identity that holds here holds on the nose, not up to rewriting.
 
 Boundary points: bottom points 0..k-1 carry the domain word, top points 0..l-1
 the codomain word. Inside a matching they are numbered on one line, bottom
 point i as i and top point j as k + j, and the matching is stored as the
-fixed-point-free involution partner on 0..k+l-1. The endpoint tuples
-("bot", i) and ("top", j) of the public `pairs` view and of the JSON format
-are derived from it; their tuple order is the order of the numbers.
+fixed-point-free involution partner on 0..k+l-1. A DiagMorphism stores its
+boundary once and each term as a (partner tuple, coefficient) pair; the
+Matching objects of its `terms` view, and the endpoint tuples ("bot", i) and
+("top", j) of `Matching.pairs` and of the JSON format, are derived from it.
+
+Terms sorted by partner are sorted by pairs (each pair smaller endpoint
+first, in order of that endpoint). Let x be the first index where involutions
+p and q of one boundary differ. Were p[x] < x, then q[p[x]] = p[p[x]] = x
+would force q[x] = p[x]; so x opens a pair in both, all pairs opened before x
+agree, and the pair lists first differ at (x, p[x]) against (x, q[x]).
 
 The oriented flavor has letters u/d (strand directions); a pair must be either
 a through strand with equal letters or a turn-back connecting opposite letters
@@ -76,9 +83,6 @@ class Word:
     def dual(self) -> "Word":
         """Reverse the word and flip each letter (u <-> d; s fixed)."""
         return Word(self.flavor, tuple(_FLIP[x] for x in reversed(self.letters)))
-
-    def repeat(self, k: int) -> "Word":
-        return Word(self.flavor, self.letters * k)
 
     def count(self, letter: str) -> int:
         return self.letters.count(letter)
@@ -151,11 +155,8 @@ class Matching:
     enumerations are valid by construction and call the constructor.
 
     The derived `pairs` lists each pair smaller endpoint first, sorted by
-    that endpoint. Ordering matchings of one boundary by partner orders them
-    by pairs: let x be the first index where involutions p and q differ.
-    Were p[x] < x, then q[p[x]] = p[p[x]] = x would force q[x] = p[x]; so x
-    opens a pair in both, all pairs opened before x agree, and the pair
-    lists first differ at (x, p[x]) against (x, q[x]).
+    that endpoint; ordering matchings of one boundary by partner orders them
+    by pairs (see the module docstring).
     """
 
     domain: Word
@@ -210,35 +211,32 @@ class Matching:
         return "".join(f"({a[0][0]}{a[1]}-{b[0][0]}{b[1]})" for a, b in self.pairs)
 
 
-def _compose_matchings(f: Matching, g: Matching) -> tuple[tuple[int, ...], int]:
-    """Glue g's top boundary to f's bottom boundary.
+def _compose_matchings(f: tuple, g: tuple, a: int, b: int) -> tuple[tuple, int]:
+    """Glue partner tuple g (a bottom, b top points) under partner tuple f.
 
     Both matchings act on one line of endpoints: g's bottom points 0..a-1,
     the glued middle points a..a+b-1, then f's top points (g keeps its
-    numbers, f's are shifted by a). Returns the partner tuple on
-    (g.domain, f.codomain) and the number of closed loops, which run
-    through middle points only.
+    numbers, f's are shifted by a). Returns the composite's partner tuple
+    and the number of closed loops, which run through middle points only.
     """
-    a, b = len(g.domain), len(g.codomain)
-    gp = g.partner
-    fp = [0] * a + [x + a for x in f.partner]
-    middle = range(a, a + b)
-    seen = [False] * (a + b)
-    partner = [-1] * (a + len(f.codomain))
+    fp = [0] * a + [x + a for x in f]
+    end_mid = a + b
+    seen = [False] * end_mid
+    partner = [-1] * (len(fp) - b)
     for start in range(len(partner)):
         if partner[start] >= 0:
             continue
         x, in_g = (start, True) if start < a else (start + b, False)
         while True:
-            x = gp[x] if in_g else fp[x]
-            if x not in middle:
+            x = g[x] if in_g else fp[x]
+            if not a <= x < end_mid:
                 break
             seen[x] = True
             in_g = not in_g
         end = x if x < a else x - b
         partner[start], partner[end] = end, start
     loops = 0
-    for m in middle:
+    for m in range(a, end_mid):
         if seen[m]:
             continue
         loops += 1
@@ -247,7 +245,7 @@ def _compose_matchings(f: Matching, g: Matching) -> tuple[tuple[int, ...], int]:
             seen[x] = True
             x = fp[x]
             seen[x] = True
-            x = gp[x]
+            x = g[x]
     return tuple(partner), loops
 
 
@@ -260,12 +258,16 @@ def _as_coeff(c) -> DeltaPoly:
 class DiagMorphism:
     """An exact linear combination of matchings with delta-polynomial coefficients.
 
-    Terms are kept sorted by matching partner tuple, which is the order of
-    their pairs (see Matching); zero coefficients are dropped, so two
-    morphisms are equal exactly when their term lists coincide.
+    Stored as the boundary once and `partner_terms`, the (partner tuple,
+    coefficient) pairs sorted by partner, which is the order of their pairs
+    (module docstring); zero coefficients are dropped, so two morphisms are
+    equal exactly when their term lists coincide. The constructor validates
+    (Matching, coefficient) items; the operations below build their results
+    from partner tuples valid by construction. `terms` is the (Matching,
+    coefficient) view of the same list, built on access.
     """
 
-    __slots__ = ("domain", "codomain", "terms")
+    __slots__ = ("domain", "codomain", "partner_terms")
 
     def __init__(
         self,
@@ -276,22 +278,28 @@ class DiagMorphism:
         if domain.flavor != codomain.flavor:
             raise DiagramTypeError("domain and codomain flavors differ")
         items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[Matching, DeltaPoly] = {}
+        acc: dict[tuple[int, ...], DeltaPoly] = {}
         for m, c in items:
             if m.domain != domain or m.codomain != codomain:
                 raise DiagramTypeError("term boundary differs from morphism boundary")
-            c = _as_coeff(c)
-            if m in acc:
-                c = acc[m] + c
-            if c:
-                acc[m] = c
-            else:
-                acc.pop(m, None)
-        object.__setattr__(
-            self, "terms", tuple(sorted(acc.items(), key=lambda kv: kv[0].partner))
-        )
+            p, c = m.partner, _as_coeff(c)
+            acc[p] = acc[p] + c if p in acc else c
+        self._fill(domain, codomain, acc)
+
+    def _fill(self, domain: Word, codomain: Word, acc: dict) -> None:
+        """Store the boundary and acc's nonzero (partner, coeff) items, sorted."""
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "codomain", codomain)
+        object.__setattr__(
+            self, "partner_terms", tuple(sorted(t for t in acc.items() if t[1]))
+        )
+
+    @staticmethod
+    def _of(domain: Word, codomain: Word, acc: dict) -> "DiagMorphism":
+        """The morphism of partner-keyed terms that are valid by construction."""
+        f = object.__new__(DiagMorphism)
+        f._fill(domain, codomain, acc)
+        return f
 
     def __setattr__(self, name, value):
         raise AttributeError("DiagMorphism is immutable")
@@ -299,6 +307,11 @@ class DiagMorphism:
     @property
     def flavor(self) -> str:
         return self.domain.flavor
+
+    @property
+    def terms(self) -> tuple[tuple[Matching, DeltaPoly], ...]:
+        dom, cod = self.domain, self.codomain
+        return tuple((Matching(dom, cod, p), c) for p, c in self.partner_terms)
 
     # constructors ----------------------------------------------------------
 
@@ -308,7 +321,7 @@ class DiagMorphism:
 
     @staticmethod
     def from_matching(m: Matching, coeff=1) -> "DiagMorphism":
-        return DiagMorphism(m.domain, m.codomain, [(m, _as_coeff(coeff))])
+        return DiagMorphism(m.domain, m.codomain, [(m, coeff)])
 
     @staticmethod
     def identity(w: Word) -> "DiagMorphism":
@@ -319,37 +332,37 @@ class DiagMorphism:
     def scalar(value, flavor: str = ORIENTED) -> "DiagMorphism":
         """The endomorphism of the unit object with the given coefficient."""
         e = empty_word(flavor)
-        m = Matching.make(e, e, [])
-        return DiagMorphism.from_matching(m, value)
+        return DiagMorphism._of(e, e, {(): _as_coeff(value)})
 
     # linear structure -------------------------------------------------------
 
-    def _expect_parallel(self, other: "DiagMorphism") -> None:
+    def __add__(self, other: "DiagMorphism") -> "DiagMorphism":
+        if not isinstance(other, DiagMorphism):
+            return NotImplemented
         if self.domain != other.domain or self.codomain != other.codomain:
             raise DiagramTypeError(
                 f"boundary mismatch: {self.domain}->{self.codomain} vs "
                 f"{other.domain}->{other.codomain}"
             )
-
-    def __add__(self, other: "DiagMorphism") -> "DiagMorphism":
-        if not isinstance(other, DiagMorphism):
-            return NotImplemented
-        self._expect_parallel(other)
-        return DiagMorphism(self.domain, self.codomain, self.terms + other.terms)
+        acc = dict(self.partner_terms)
+        for p, c in other.partner_terms:
+            acc[p] = acc[p] + c if p in acc else c
+        return DiagMorphism._of(self.domain, self.codomain, acc)
 
     def __sub__(self, other: "DiagMorphism") -> "DiagMorphism":
         return self + (-other)
 
     def __neg__(self) -> "DiagMorphism":
-        return DiagMorphism(
-            self.domain, self.codomain, [(m, -c) for m, c in self.terms]
-        )
+        return self._mapped(lambda c: -c)
 
     def scale(self, c) -> "DiagMorphism":
         c = _as_coeff(c)
-        return DiagMorphism(
-            self.domain, self.codomain, [(m, k * c) for m, k in self.terms]
-        )
+        return self._mapped(lambda k: k * c)
+
+    def _mapped(self, fn) -> "DiagMorphism":
+        """The same boundary and matchings with each coefficient c as fn(c)."""
+        acc = {p: fn(c) for p, c in self.partner_terms}
+        return DiagMorphism._of(self.domain, self.codomain, acc)
 
     def __mul__(self, other):
         """f * g composes (g applied first); f * scalar rescales."""
@@ -370,50 +383,38 @@ class DiagMorphism:
     # inspection -------------------------------------------------------------
 
     def coeff(self, m: Matching) -> DeltaPoly:
-        for mm, c in self.terms:
-            if mm == m:
-                return c
-        return DeltaPoly.zero()
+        return dict(self.terms).get(m, DeltaPoly.zero())
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.partner_terms
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.partner_terms)
 
     def scalar_value(self) -> DeltaPoly:
         """Coefficient of an endomorphism of the unit object."""
         if len(self.domain) or len(self.codomain):
             raise DiagramTypeError("not a scalar morphism")
-        return self.terms[0][1] if self.terms else DeltaPoly.zero()
+        return self.partner_terms[0][1] if self.partner_terms else DeltaPoly.zero()
 
     def specialize(self, delta_value) -> "DiagMorphism":
         """Evaluate every coefficient at delta = value (kept as constants)."""
-        return DiagMorphism(
-            self.domain,
-            self.codomain,
-            [
-                (m, DeltaPoly.constant(c.evaluate(delta_value)))
-                for m, c in self.terms
-            ],
-        )
+        return self._mapped(lambda c: DeltaPoly.constant(c.evaluate(delta_value)))
 
     def __eq__(self, other):
         if not isinstance(other, DiagMorphism):
             return NotImplemented
-        return (
-            self.domain == other.domain
-            and self.codomain == other.codomain
-            and self.terms == other.terms
+        return (self.domain, self.codomain, self.partner_terms) == (
+            other.domain, other.codomain, other.partner_terms
         )
 
     def __hash__(self):
-        return hash((self.domain, self.codomain, self.terms))
+        return hash((self.domain, self.codomain, self.partner_terms))
 
     def __repr__(self):
         return (
             f"DiagMorphism({self.domain}->{self.codomain}, "
-            f"{len(self.terms)} terms)"
+            f"{len(self.partner_terms)} terms)"
         )
 
 
@@ -424,7 +425,7 @@ class DiagMorphism:
 def _retag_scalar(f: DiagMorphism, flavor: str) -> DiagMorphism:
     """Move a unit-object endomorphism to the other flavor's unit object."""
     e = empty_word(flavor)
-    return DiagMorphism(e, e, [(Matching(e, e, ()), c) for _, c in f.terms])
+    return DiagMorphism._of(e, e, dict(f.partner_terms))
 
 
 def _match_flavors(
@@ -446,14 +447,14 @@ def compose(f: DiagMorphism, g: DiagMorphism) -> DiagMorphism:
         raise DiagramTypeError(
             f"cannot compose: inner boundaries {g.codomain} vs {f.domain} differ"
         )
-    acc: dict[Matching, DeltaPoly] = {}
-    for mf, cf in f.terms:
-        for mg, cg in g.terms:
-            partner, loops = _compose_matchings(mf, mg)
-            m = Matching(g.domain, f.codomain, partner)
-            c = cf * cg * DeltaPoly.delta(loops)
-            acc[m] = acc.get(m, DeltaPoly.zero()) + c
-    return DiagMorphism(g.domain, f.codomain, acc)
+    a, b = len(g.domain), len(g.codomain)
+    acc: dict[tuple[int, ...], DeltaPoly] = {}
+    for pf, cf in f.partner_terms:
+        for pg, cg in g.partner_terms:
+            p, loops = _compose_matchings(pf, pg, a, b)
+            c = (cf * cg).shifted(loops)
+            acc[p] = acc[p] + c if p in acc else c
+    return DiagMorphism._of(g.domain, f.codomain, acc)
 
 
 def tensor(f: DiagMorphism, g: DiagMorphism) -> DiagMorphism:
@@ -463,16 +464,18 @@ def tensor(f: DiagMorphism, g: DiagMorphism) -> DiagMorphism:
     cod = f.codomain + g.codomain
     k1, l1, k = len(f.domain), len(f.codomain), len(dom)
     # Endpoint x of f, or endpoint x - k1 - l1 of g, lands on at[x] of the
-    # juxtaposition; src inverts at.
+    # juxtaposition; jf and jg hold a term's partners moved there, and src
+    # inverts at.
     at = [*range(k1), *range(k, k + l1), *range(k1, k), *range(k + l1, k + len(cod))]
     src = sorted(range(len(at)), key=at.__getitem__)
-    acc: dict[Matching, DeltaPoly] = {}
-    for mf, cf in f.terms:
-        for mg, cg in g.terms:
-            joint = [*mf.partner, *(x + k1 + l1 for x in mg.partner)]
-            m = Matching(dom, cod, tuple(at[joint[x]] for x in src))
-            acc[m] = acc.get(m, DeltaPoly.zero()) + cf * cg
-    return DiagMorphism(dom, cod, acc)
+    gs = [([at[x + k1 + l1] for x in pg], cg) for pg, cg in g.partner_terms]
+    acc: dict[tuple[int, ...], DeltaPoly] = {}
+    for pf, cf in f.partner_terms:
+        jf = [at[x] for x in pf]
+        for jg, cg in gs:
+            p, c = tuple(map((jf + jg).__getitem__, src)), cf * cg
+            acc[p] = acc[p] + c if p in acc else c
+    return DiagMorphism._of(dom, cod, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -752,10 +755,10 @@ class _Parser:
             self.next()
             pos = self.peek()[2]
             rhs = operand()
-            pairs = len(result.terms) * len(rhs.terms)
-            if pairs > TERM_PAIR_LIMIT:
+            left, right = len(result.partner_terms), len(rhs.partner_terms)
+            if left * right > TERM_PAIR_LIMIT:
                 raise ParseError(
-                    f"{op!r} joins {len(result.terms)} x {len(rhs.terms)} = {pairs} "
+                    f"{op!r} joins {left} x {right} = {left * right} "
                     f"term pairs; the parser admits at most {TERM_PAIR_LIMIT}",
                     pos,
                 )
@@ -857,19 +860,15 @@ def parse_expr(text: str, flavor: str | None = None) -> DiagMorphism:
 # rendering
 
 
-def _term_to_json(m: Matching, c: DeltaPoly) -> dict:
-    return {
-        "pairs": [[a[0], a[1], b[0], b[1]] for a, b in m.pairs],
-        "coeff": str(c),
-    }
-
-
 def diag_to_json_dict(f: DiagMorphism) -> dict:
     return {
         "flavor": f.flavor,
         "domain": str(f.domain),
         "codomain": str(f.codomain),
-        "terms": [_term_to_json(m, c) for m, c in f.terms],
+        "terms": [
+            {"pairs": [[*a, *b] for a, b in m.pairs], "coeff": str(c)}
+            for m, c in f.terms
+        ],
     }
 
 

@@ -259,8 +259,9 @@ class DeltaPoly(_DensePoly):
             raise ValueError("negative degree")
         return cls([_ZERO] * power + [_ONE])
 
-    def as_dict(self) -> dict[int, Fraction]:
-        return {d: c for d, c in enumerate(self.coeffs) if c}
+    def shifted(self, k: int) -> "DeltaPoly":
+        """This polynomial times delta^k: k zeros prepended to the coefficients."""
+        return DeltaPoly((_ZERO,) * k + self.coeffs) if k and self.coeffs else self
 
     def is_constant(self) -> bool:
         return len(self.coeffs) <= 1

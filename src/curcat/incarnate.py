@@ -273,7 +273,7 @@ def antisymmetrizer_kernel_check(
                 )
             )
             continue
-        basis_index = {m: i for i, m in enumerate(result.matchings)}
+        basis_index = {m.partner: i for i, m in enumerate(result.matchings)}
         pad = DiagMorphism.identity(word("u" * (k - n - 1)))
         seed = tensor(a_top, pad) if len(pad.domain) else a_top
         span_vectors: list[list[Fraction]] = []
@@ -283,8 +283,8 @@ def antisymmetrizer_kernel_check(
             for right in perms:
                 element = compose(mid, right)
                 coeffs = [Fraction(0)] * len(result.matchings)
-                for m, c in element.terms:
-                    coeffs[basis_index[m]] = c.evaluate(Fraction(n))
+                for p, c in element.partner_terms:
+                    coeffs[basis_index[p]] = c.evaluate(Fraction(n))
                 span_vectors.append(coeffs)
         span = matrix_from_columns(span_vectors, RATIONAL_RING)
         _, span_rank, _ = rref(span)

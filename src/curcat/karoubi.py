@@ -20,6 +20,7 @@ from curcat.diagrams import (
     DiagMorphism,
     DiagramTypeError,
     Word,
+    _json_field,
     compose,
     diag_from_json_dict,
     diag_to_json_dict,
@@ -362,15 +363,27 @@ def kar_morphism_to_json_dict(f: KarMorphism) -> dict:
     }
 
 
+def _blocks_from_json(obj, key: str) -> list[list[DiagMorphism]]:
+    rows = _json_field(obj, key, list)
+    if not all(isinstance(row, list) for row in rows):
+        raise DiagramTypeError(f"{key!r} must be a list of block rows")
+    return [[diag_from_json_dict(b) for b in row] for row in rows]
+
+
 def kar_object_from_json_dict(obj: dict) -> KarObject:
-    flavor = obj["flavor"]
-    ws = [word(s, flavor) for s in obj["summands"]]
-    e = [[diag_from_json_dict(b) for b in row] for row in obj["idempotent"]]
-    return kar_object(ws, e)
+    """Read kar_object_to_json_dict's form; malformed input raises
+    DiagramTypeError."""
+    flavor = _json_field(obj, "flavor", str)
+    summands = _json_field(obj, "summands", list)
+    if not all(isinstance(s, str) for s in summands):
+        raise DiagramTypeError("'summands' must be a list of words")
+    e = _blocks_from_json(obj, "idempotent")
+    return kar_object([word(s, flavor) for s in summands], e)
 
 
 def kar_morphism_from_json_dict(obj: dict) -> KarMorphism:
-    source = kar_object_from_json_dict(obj["source"])
-    target = kar_object_from_json_dict(obj["target"])
-    blocks = [[diag_from_json_dict(b) for b in row] for row in obj["blocks"]]
-    return kar_morphism(source, target, blocks)
+    """Read kar_morphism_to_json_dict's form; malformed input raises
+    DiagramTypeError."""
+    source = kar_object_from_json_dict(_json_field(obj, "source", dict))
+    target = kar_object_from_json_dict(_json_field(obj, "target", dict))
+    return kar_morphism(source, target, _blocks_from_json(obj, "blocks"))

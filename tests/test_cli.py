@@ -3,11 +3,12 @@ from __future__ import annotations
 
 import json
 import math
+import time
 from pathlib import Path
 
 import pytest
 
-from curcat.cli import KERNEL_HOM_LIMIT, _end_dimension, main
+from curcat.cli import KERNEL_HOM_LIMIT, SOLVE_UNKNOWN_LIMIT, _hom_dimension, main
 from curcat.diagrams import ASYM_LIMIT, TERM_PAIR_LIMIT, parse_expr, word
 from curcat.incarnate import hom_basis
 
@@ -237,8 +238,20 @@ def test_kernel_refuses_hom_spaces_above_the_bound(capsys, word_text):
 )
 def test_end_dimension_counts_the_matchings(word_text):
     w = word(word_text)
-    assert _end_dimension(w) == len(hom_basis(w, w))
-    assert _end_dimension(w) <= KERNEL_HOM_LIMIT
+    assert _hom_dimension(w, w) == len(hom_basis(w, w))
+    assert _hom_dimension(w, w) <= KERNEL_HOM_LIMIT
+
+
+@pytest.mark.parametrize(
+    "w1, w2",
+    [("", ""), ("ud", ""), ("uu", ""), ("", "du"), ("udu", "u"), ("uud", "udu"),
+     ("uu", "dd"), ("uuu", "u"), ("dud", "uud"), ("s", ""), ("sss", "s"),
+     ("ss", "ssss"), ("sss", "ss")],
+)
+def test_hom_dimension_counts_the_matchings(w1, w2):
+    a = word(w1)
+    b = word(w2, a.flavor)
+    assert _hom_dimension(a, b) == len(hom_basis(a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +273,33 @@ def test_solve_identity_preimage(capsys):
     assert report["is_consistent"] is True
     assert report["affine_dimension"] == 0
     assert report["unknowns"] == 6
+
+
+def test_solve_refuses_a_seven_strand_description(capsys, tmp_path):
+    # The example with seven strands has 7! = 5040 unknowns; unbounded, it
+    # ran for minutes.
+    desc = {
+        **INDUCED_PAIR,
+        "V": {"rule": "induced", "word": "u" * 7, "endo": "id(uuuuuuu)"},
+        "W": {"rule": "induced", "word": "u" * 7, "endo": "id(uuuuuuu) + asym(7)"},
+    }
+    path = tmp_path / "seven.json"
+    path.write_text(json.dumps(desc))
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["solve", "--input", str(path)])
+    assert time.perf_counter() - start < 5
+    assert code == 2
+    assert out == ""
+    assert "5040 unknowns" in err and f"at most {SOLVE_UNKNOWN_LIMIT}" in err
+
+
+def test_solve_admits_the_example_input(capsys):
+    # The bound counts the unknowns the solver then enumerates: 3! on End(uuu).
+    example = str(REPO / "scripts" / "solve_input.example.json")
+    code, out, _ = run(capsys, ["solve", "--input", example, "--format", "json"])
+    assert code == 0
+    unknowns = json.loads(out)["unknowns"]
+    assert unknowns == _hom_dimension(word("uuu"), word("uuu")) <= SOLVE_UNKNOWN_LIMIT
 
 
 def test_solve_morphism_space_with_loop_value(capsys, tmp_path):

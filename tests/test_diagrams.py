@@ -344,18 +344,59 @@ def test_matchings_sorted_and_unique():
         assert ms == sorted(ms, key=lambda m: m.pairs), (dom, cod)
         assert len(set(ms)) == len(ms)
     # Terms of composites and tensors come out in the order of their pairs.
-    rng = random.Random(20)
-    checked = 0
-    while checked < 150:
-        flavor = rng.choice(["oriented", "unoriented"])
-        a, b, c = (_random_word(rng, flavor, rng.randint(0, 4)) for _ in range(3))
-        if not (all_matchings(a, b) and all_matchings(b, c)):
-            continue
-        g, f = _random_combination(rng, a, b), _random_combination(rng, b, c)
+    for f, g in _random_composable_pairs(random.Random(20), 150):
         for h in (compose(f, g), tensor(f, g)):
             keys = [m.pairs for m, _ in h.terms]
             assert keys == sorted(set(keys))
-        checked += 1
+
+
+def _random_composable_pairs(rng, count):
+    """count seeded pairs (f, g) of random combinations with f after g defined."""
+    pairs = []
+    while len(pairs) < count:
+        flavor = rng.choice(["oriented", "unoriented"])
+        a, b, c = (_random_word(rng, flavor, rng.randint(0, 4)) for _ in range(3))
+        if all_matchings(a, b) and all_matchings(b, c):
+            g, f = _random_combination(rng, a, b), _random_combination(rng, b, c)
+            pairs.append((f, g))
+    return pairs
+
+
+def test_constructor_rejects_a_term_with_another_boundary():
+    m = all_matchings(word("ud"), word("ud"))[0]
+    with pytest.raises(DiagramTypeError, match="term boundary differs"):
+        DiagMorphism(word("du"), word("du"), [(m, 1)])
+    with pytest.raises(DiagramTypeError, match="term boundary differs"):
+        DiagMorphism(word("ud"), word(""), [(m, 1)])
+
+
+def test_operations_agree_with_termwise_construction():
+    """compose, tensor, + and scale equal the public constructor fed the
+    same terms one by one, duplicates and cancellations included."""
+    rng = random.Random(21)
+    for f, g in _random_composable_pairs(rng, 150):
+        one = DiagMorphism.from_matching
+        glued, juxtaposed = [], []
+        for mf, cf in f.terms:
+            for mg, cg in g.terms:
+                (m, loop_factor), = compose(one(mf), one(mg)).terms
+                glued.append((m, cf * cg * loop_factor))
+                (m, unit), = tensor(one(mf), one(mg)).terms
+                juxtaposed.append((m, cf * cg * unit))
+        assert compose(f, g) == DiagMorphism(g.domain, f.codomain, glued)
+        assert tensor(f, g) == DiagMorphism(
+            f.domain + g.domain, f.codomain + g.codomain, juxtaposed
+        )
+        assert f + f.scale(-1) == DiagMorphism.zero(f.domain, f.codomain)
+        h = _random_combination(rng, f.domain, f.codomain)
+        assert f + h == DiagMorphism(f.domain, f.codomain, [*f.terms, *h.terms])
+        s = rng.choice([0, -1, 2, Fraction(1, 3), DeltaPoly.delta()])
+        assert f.scale(s) == DiagMorphism(
+            f.domain, f.codomain, [(m, c * s) for m, c in f.terms]
+        )
+        for result in (compose(f, g), tensor(f, g), f + h, f.scale(s)):
+            assert all(c for _, c in result.terms)
+            assert DiagMorphism(result.domain, result.codomain, result.terms) == result
 
 
 # ---------------------------------------------------------------------------

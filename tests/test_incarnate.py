@@ -202,6 +202,29 @@ def test_kernel_on_four_up_strands_matches_frozen_oracle():
     assert res.kernel_dimension == data["nullity"]
 
 
+# Rows of frozen_invariant_rank.json (invariant theory, no package code) that
+# the Gram elimination finishes in well under a second: every n <= k for the
+# uniform oriented words up to five strands and unoriented up to four, plus
+# mixed oriented words, whose rank the oracle says does not depend on letters.
+INVARIANT_RANK_CASES = [
+    *(("u" * k, n) for k in range(1, 6) for n in range(1, k + 1)),
+    *(("s" * k, n) for k in range(1, 5) for n in range(1, k + 1)),
+    ("ud", 1), ("udud", 2), ("uudd", 2), ("uuud", 2), ("udud", 3), ("uudu", 3),
+    ("uuddu", 3), ("dudud", 2),
+]
+
+
+@pytest.mark.parametrize(
+    "text, n", INVARIANT_RANK_CASES, ids=[f"{w}-n{n}" for w, n in INVARIANT_RANK_CASES]
+)
+def test_kernel_rank_matches_the_invariant_theory_oracle(text, n):
+    w = word(text)
+    res = kernel_of_incarnation(w, w, IncarnationConfig(n, w.flavor))
+    key = f"{w.flavor} k={len(w)} n={n}"
+    assert res.rank == frozen("frozen_invariant_rank.json")[key]
+    assert res.rank + res.kernel_dimension == res.hom_dimension
+
+
 def test_kernel_on_three_up_strands_is_spanned_by_the_antisymmetrizer():
     res = kernel_of_incarnation("uuu", "uuu", IncarnationConfig(2))
     assert res.kernel_dimension == 1

@@ -8,6 +8,7 @@ import pytest
 
 from curcat.diagrams import (
     DiagMorphism,
+    DiagramTypeError,
     antisymmetrizer,
     cap,
     compose,
@@ -32,6 +33,7 @@ from curcat.karoubi import (
     kar_morphism_from_json_dict,
     kar_morphism_to_json_dict,
     kar_object,
+    kar_object_from_json_dict,
     kar_projection,
     kar_sandwich,
     kar_scale,
@@ -198,6 +200,43 @@ def test_json_round_trip():
     back = kar_morphism_from_json_dict(json.loads(blob))
     assert back == br
     assert json.dumps(kar_morphism_to_json_dict(back), indent=2, sort_keys=True) == blob
+
+
+def _without(obj: dict, key: str) -> dict:
+    return {k: v for k, v in obj.items() if k != key}
+
+
+def _round_trip_blob() -> dict:
+    p = kar_object(["uu"], [[antisymmetrizer(2)]])
+    return kar_morphism_to_json_dict(kar_braiding(p, kar_word("d")))
+
+
+@pytest.mark.parametrize(
+    "read, make",
+    [
+        (kar_object_from_json_dict, lambda m: _without(m["source"], "summands")),
+        (kar_object_from_json_dict, lambda m: _without(m["source"], "idempotent")),
+        (kar_object_from_json_dict, lambda m: _without(m["source"], "flavor")),
+        (kar_object_from_json_dict, lambda m: [m["source"]]),
+        (kar_morphism_from_json_dict, lambda m: _without(m, "source")),
+        (kar_morphism_from_json_dict, lambda m: _without(m, "target")),
+        (kar_morphism_from_json_dict, lambda m: _without(m, "blocks")),
+        (kar_morphism_from_json_dict, lambda m: [m]),
+    ],
+    ids=[
+        "object-no-summands",
+        "object-no-idempotent",
+        "object-no-flavor",
+        "object-list",
+        "morphism-no-source",
+        "morphism-no-target",
+        "morphism-no-blocks",
+        "morphism-list",
+    ],
+)
+def test_karoubi_json_readers_reject_malformed_input(read, make):
+    with pytest.raises(DiagramTypeError):
+        read(make(_round_trip_blob()))
 
 
 def test_operator_sugar():
