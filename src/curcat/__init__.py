@@ -50,6 +50,7 @@ from curcat.exact import (
     kernel_basis,
     rref,
     solve_affine,
+    solve_each,
     specialize_delta,
 )
 from curcat.incarnate import (
@@ -109,6 +110,7 @@ __all__ = [
     "so_object_image_check",
     "solution_to_morphism",
     "solve_affine",
+    "solve_each",
     "specialize_delta",
     "tensor",
     "tensor_current",

@@ -10,6 +10,11 @@ conductor is the group exponent when the group forces roots of unity.
 Everything is validated eagerly: algebras for associativity, Lie algebras
 for antisymmetry and the Jacobi identity, group actions for generator
 orders and automorphism behaviour, ideals for closure and codimension one.
+
+An action keeps the matrix of every group element, built once when it is
+validated, so projectors and stabilizers only look matrices up. Questions
+asked of one span (is each of these vectors in it, and with which
+coordinates) are answered by one elimination through ``solve_each``.
 """
 from __future__ import annotations
 
@@ -31,6 +36,7 @@ from curcat.exact import (
     ring_of,
     rref,
     solve_affine,
+    solve_each,
 )
 from curcat.lie import AxiomError, report_entry, report_passed
 
@@ -266,10 +272,6 @@ def _vectors_matrix(vectors, dim: int, ring: Ring) -> ExactMatrix:
     return matrix_from_columns([list(v) for v in vectors], ring)
 
 
-def _in_span(vectors_mat: ExactMatrix, target) -> bool:
-    return solve_affine(vectors_mat, list(target)).is_consistent
-
-
 def _kron_vector(x, a) -> tuple:
     return tuple(xi * aj for xi in x for aj in a)
 
@@ -450,25 +452,25 @@ def sl2() -> FDLieAlgebra:
 
 @dataclasses.dataclass(frozen=True)
 class GroupActionOnSpace:
-    """One invertible matrix per cyclic factor, acting on a based space."""
+    """One invertible matrix per cyclic factor (generators) and per group
+    element (matrices, in ``group.elements()`` order), on a based space."""
 
     group: FiniteAbelianGroup
     dim: int
     generators: tuple[ExactMatrix, ...]
+    matrices: tuple[ExactMatrix, ...]
     ring: Ring
 
     def matrix_of(self, g: tuple[int, ...]) -> ExactMatrix:
-        acc = ExactMatrix.identity(self.dim, self.ring)
-        for gen, power in zip(self.generators, g):
-            for _ in range(power):
-                acc = gen @ acc
-        return acc
+        index = 0
+        for a, f in zip(g, self.group.factors):
+            index = index * f + a % f
+        return self.matrices[index]
 
     def transform(self, g, v) -> tuple:
-        m = self.matrix_of(g)
         return tuple(
-            sum((m.entries[i][j] * vj for j, vj in enumerate(v)), self.ring.zero)
-            for i in range(self.dim)
+            sum((x * y for x, y in zip(row, v)), self.ring.zero)
+            for row in self.matrix_of(g).entries
         )
 
 
@@ -487,29 +489,31 @@ def group_action(
     ring = _join_rings(ring, _character_ring(group))
     gens = [_promote_matrix(m, ring) for m in gens]
     dim = gens[0].rows if gens else (dim or 0)
+    identity = ExactMatrix.identity(dim, ring)
+    matrices = [identity]
     for m, f in zip(gens, group.factors):
         if m.rows != dim or m.cols != dim:
             raise EquivariantDataError("generator matrices must be square, same size")
-        acc = ExactMatrix.identity(dim, ring)
+        powers = [identity]
         for _ in range(f):
-            acc = m @ acc
-        if acc != ExactMatrix.identity(dim, ring):
-            raise EquivariantDataError(
-                f"generator does not have order {f}"
-            )
+            powers.append(m @ powers[-1])
+        if powers.pop() != identity:
+            raise EquivariantDataError(f"generator does not have order {f}")
+        matrices = [acc @ p for acc in matrices for p in powers]
     for a, b in itertools.combinations(gens, 2):
         if a @ b != b @ a:
             raise EquivariantDataError("generator matrices must commute")
-    return GroupActionOnSpace(group, dim, tuple(gens), ring)
+    return GroupActionOnSpace(group, dim, tuple(gens), tuple(matrices), ring)
 
 
 def _promote_action(action: GroupActionOnSpace, ring: Ring) -> GroupActionOnSpace:
-    """The same action with its generators moved into the join with ring."""
+    """The same action with its matrices moved into the join with ring."""
     ring = _join_rings(action.ring, ring)
     return GroupActionOnSpace(
         action.group,
         action.dim,
         tuple(_promote_matrix(m, ring) for m in action.generators),
+        tuple(_promote_matrix(m, ring) for m in action.matrices),
         ring,
     )
 
@@ -521,30 +525,24 @@ def _table_action(
     table_name: str,
     product_name: str,
 ) -> GroupActionOnSpace:
-    """A valid action whose generators also respect the table's product,
-    checked generator by generator on every pair of basis vectors."""
+    """A valid action whose generators g also respect the table's product:
+    g T = T (g (x) g), where column i*dim + j of T is basis i times basis j."""
     action = group_action(group, generators, dim=table.dim)
     if action.dim != table.dim:
         raise EquivariantDataError(f"action dimension differs from the {table_name}")
     action = _promote_action(action, table.ring)
-    ring = action.ring
-    basis = _standard_basis(table.dim, ring)
-    for gen_index in range(len(action.generators)):
-        g = tuple(1 if t == gen_index else 0 for t in range(len(group.factors)))
-        for i in range(table.dim):
-            for j in range(table.dim):
-                prod = table.product(basis[i], basis[j])
-                left = action.transform(g, tuple(_promote_scalar(c, ring) for c in prod))
-                right = table.product(
-                    action.transform(g, basis[i]),
-                    action.transform(g, basis[j]),
+    dim = table.dim
+    products = [vec for row in table.structure for vec in row]
+    t = _promote_matrix(_vectors_matrix(products, dim, table.ring), action.ring)
+    for gen_index, g in enumerate(action.generators):
+        left = (g @ t).transpose().entries
+        right = (t @ g.kron(g)).transpose().entries
+        for col, (l_col, r_col) in enumerate(zip(left, right)):
+            if l_col != r_col:
+                raise EquivariantDataError(
+                    f"generator {gen_index} does not respect the {product_name} "
+                    f"at ({col // dim},{col % dim})"
                 )
-                right = tuple(_promote_scalar(c, ring) for c in right)
-                if left != right:
-                    raise EquivariantDataError(
-                        f"generator {gen_index} does not respect the {product_name} "
-                        f"at ({i},{j})"
-                    )
     return action
 
 
@@ -571,9 +569,9 @@ def isotypic_projector(action: GroupActionOnSpace, chi: Character) -> ExactMatri
     group = action.group
     ring = _join_rings(action.ring, _character_ring(group))
     acc = ExactMatrix.zeros(action.dim, action.dim, ring)
-    for g in group.elements():
+    for g, mat in zip(group.elements(), action.matrices):
         weight = _promote_scalar(chi.inverse_value(g), ring)
-        acc = acc + _promote_matrix(action.matrix_of(g), ring).scale(weight)
+        acc = acc + _promote_matrix(mat, ring).scale(weight)
     return acc.scale(Fraction(1, group.order))
 
 
@@ -673,25 +671,21 @@ def equivariant_map_algebra(
     else:
         fixed_rank = lie.dim * algebra.dim
     span = _vectors_matrix([_kron_vector(x, a) for _, x, a in basis], lie.dim * algebra.dim, ring)
-    table = []
-    closed = True
     lie_p = dataclasses.replace(
         lie, structure=_freeze_table(lie.structure, ring), ring=ring
     )
     alg_p = dataclasses.replace(
         algebra, structure=_freeze_table(algebra.structure, ring), ring=ring
     )
-    for _, x, a in basis:
-        row = []
-        for _, y, b in basis:
-            target = _kron_vector(lie_p.bracket(x, y), alg_p.multiply(a, b))
-            sol = solve_affine(span, list(target))
-            if not sol.is_consistent:
-                closed = False
-                row.append(None)
-            else:
-                row.append(tuple(sol.particular))
-        table.append(tuple(row))
+    brackets = [
+        _kron_vector(lie_p.bracket(x, y), alg_p.multiply(a, b))
+        for _, x, a in basis
+        for _, y, b in basis
+    ]
+    sols = solve_each(span, brackets)
+    closed = all(sol.is_consistent for sol in sols)
+    n = len(basis)
+    table = [tuple(sol.particular for sol in sols[i : i + n]) for i in range(0, n * n, n)]
     return FixedPointAlgebra(
         lie_p,
         alg_p,
@@ -742,21 +736,18 @@ def max_ideal(algebra: FDAlgebra, basis) -> MaxIdeal:
         raise EquivariantDataError("ideal basis vectors are linearly dependent")
     std = _standard_basis(algebra.dim, ring)
     for i in range(algebra.dim):
-        for v in vecs:
-            if not _in_span(span, algebra.multiply(std[i], v)):
-                raise EquivariantDataError(
-                    f"not an ideal: basis vector {i} times a generator leaves the span"
-                )
-    if _in_span(span, algebra.unit):
-        raise EquivariantDataError("the unit lies in the ideal")
+        products = [algebra.multiply(std[i], v) for v in vecs]
+        if not all(sol.is_consistent for sol in solve_each(span, products)):
+            raise EquivariantDataError(
+                f"not an ideal: basis vector {i} times a generator leaves the span"
+            )
     # decompose each standard vector over (ideal basis, unit); the unit
-    # coefficient is the evaluation
-    full = _vectors_matrix(vecs + [algebra.unit], algebra.dim, ring)
-    ev = []
-    for i in range(algebra.dim):
-        sol = solve_affine(full, list(std[i]))
-        ev.append(sol.particular[-1])
-    m = MaxIdeal(algebra, tuple(vecs), tuple(ev))
+    # coefficient is the evaluation. A unit inside the ideal leaves these
+    # dim vectors of rank dim - 1, so some standard vector has no solution.
+    sols = solve_each(_vectors_matrix(vecs + [algebra.unit], algebra.dim, ring), std)
+    if not all(sol.is_consistent for sol in sols):
+        raise EquivariantDataError("the unit lies in the ideal")
+    m = MaxIdeal(algebra, tuple(vecs), tuple(sol.particular[-1] for sol in sols))
     for i in range(algebra.dim):
         for j in range(algebra.dim):
             prod = m.ev_value(algebra.multiply(std[i], std[j]))
@@ -787,7 +778,7 @@ def ideal_stabilizer(action: GroupActionOnSpace, m: MaxIdeal) -> StabilizerResul
     kept = []
     for g in action.group.elements():
         moved = [promoted.transform(g, v) for v in vecs]
-        if all(_in_span(span, w) for w in moved):
+        if all(sol.is_consistent for sol in solve_each(span, moved)):
             kept.append(g)
     exponent = math.lcm(*(action.group.element_order(g) for g in kept)) if kept else 1
     return StabilizerResult(
@@ -865,14 +856,6 @@ class EvaluationModuleResult:
         return report_passed(list(self.report))
 
 
-def _express_in(vectors, dim: int, ring: Ring, target):
-    span = _vectors_matrix(vectors, dim, ring)
-    sol = solve_affine(span, [(c) for c in target])
-    if not sol.is_consistent:
-        raise EquivariantDataError("vector leaves the fixed subalgebra")
-    return sol.particular
-
-
 def equivariant_evaluation_module(
     ema: FixedPointAlgebra,
     m: MaxIdeal,
@@ -909,10 +892,14 @@ def equivariant_evaluation_module(
     else:
         module_dim = 0
 
+    sub_span = _vectors_matrix(sub_basis, ema.lie.dim, ring)
+
     def rho_of(x) -> ExactMatrix:
-        coords = _express_in(sub_basis, ema.lie.dim, ring, x)
+        sol = solve_affine(sub_span, x)
+        if not sol.is_consistent:
+            raise EquivariantDataError("vector leaves the fixed subalgebra")
         acc = ExactMatrix.zeros(module_dim, module_dim, ring)
-        for c, mat in zip(coords, rho):
+        for c, mat in zip(sol.particular, rho):
             if c:
                 acc = acc + mat.scale(c)
         return acc
@@ -1026,15 +1013,39 @@ def scalar_to_json(x):
 
 
 def scalar_from_json(obj):
-    if isinstance(obj, dict):
-        return CycloNumber(
-            int(obj["conductor"]), [Fraction(c) for c in obj["coeffs"]]
+    """A rational from a string or number, or a cyclotomic number from an
+    object with an integer "conductor" and a list of "coeffs"; malformed
+    input raises EquivariantDataError."""
+    try:
+        if isinstance(obj, dict):
+            return CycloNumber(
+                _json_field(obj, "conductor", int),
+                [Fraction(c) for c in _json_field(obj, "coeffs", list)],
+            )
+        return Fraction(obj)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise EquivariantDataError(f"bad scalar {obj!r}: {exc}") from exc
+
+
+def _json_field(obj, key: str, kind: type):
+    if not isinstance(obj, dict) or not isinstance(obj.get(key), kind):
+        raise EquivariantDataError(
+            f"equivariant JSON needs an object with {kind.__name__} {key!r}"
         )
-    return Fraction(obj)
+    return obj[key]
+
+
+def _scalars_from_json(value, depth: int) -> list:
+    """Lists nested depth deep, with a scalar at every leaf."""
+    if depth == 0:
+        return scalar_from_json(value)
+    if not isinstance(value, list):
+        raise EquivariantDataError(f"equivariant JSON needs lists nested {depth} deep")
+    return [_scalars_from_json(v, depth - 1) for v in value]
 
 
 def _matrix_from_json(rows) -> ExactMatrix:
-    entries = [[scalar_from_json(c) for c in row] for row in rows]
+    entries = _scalars_from_json(rows, 2)
     ring = _ring_of_scalars([c for row in entries for c in row])
     return ExactMatrix(
         [[_promote_scalar(c, ring) for c in row] for row in entries], ring
@@ -1046,48 +1057,44 @@ def setup_from_json_dict(obj: dict) -> dict:
 
     Keys: group (factors), algebra (structure, unit), optional lie
     (structure), actions (algebra: matrices, lie: matrices), optional ideal
-    (basis), optional module (matrices).
+    (basis), optional module (matrices). Malformed input raises
+    EquivariantDataError.
     """
-    group = FiniteAbelianGroup(tuple(obj["group"]["factors"]))
-    alg_desc = obj["algebra"]
+    factors = _json_field(_json_field(obj, "group", dict), "factors", list)
+    if not all(isinstance(f, int) for f in factors):
+        raise EquivariantDataError("group factors must be integers")
+    group = FiniteAbelianGroup(tuple(factors))
+    alg_desc = _json_field(obj, "algebra", dict)
     algebra = fd_algebra(
-        [
-            [[scalar_from_json(c) for c in vec] for vec in row]
-            for row in alg_desc["structure"]
-        ],
+        _scalars_from_json(_json_field(alg_desc, "structure", list), 3),
         commutative=alg_desc.get("commutative", True),
-        unit=[scalar_from_json(c) for c in alg_desc["unit"]]
+        unit=_scalars_from_json(alg_desc["unit"], 1)
         if alg_desc.get("unit") is not None
         else None,
     )
     out: dict = {"group": group, "algebra": algebra}
+    actions = _json_field(obj, "actions", dict)
     a_act = algebra_action(
-        group, algebra, [_matrix_from_json(m) for m in obj["actions"]["algebra"]]
+        group, algebra, [_matrix_from_json(m) for m in _json_field(actions, "algebra", list)]
     )
     out["algebra_act"] = a_act
     if "lie" in obj:
-        lie = fd_lie_algebra(
-            [
-                [[scalar_from_json(c) for c in vec] for vec in row]
-                for row in obj["lie"]["structure"]
-            ]
-        )
+        lie = fd_lie_algebra(_scalars_from_json(_json_field(obj["lie"], "structure", list), 3))
         out["lie"] = lie
         l_act = lie_action(
-            group, lie, [_matrix_from_json(m) for m in obj["actions"]["lie"]]
+            group, lie, [_matrix_from_json(m) for m in _json_field(actions, "lie", list)]
         )
         out["lie_act"] = l_act
     if "ideal" in obj:
         out["ideal"] = max_ideal(
-            algebra,
-            [[scalar_from_json(c) for c in v] for v in obj["ideal"]["basis"]],
+            algebra, _scalars_from_json(_json_field(obj["ideal"], "basis", list), 2)
         )
     if "lie" in obj:
         out["fixed_algebra"] = equivariant_map_algebra(
             out["lie"], algebra, out["lie_act"], a_act
         )
         if "ideal" in obj and "module" in obj:
-            rho = [_matrix_from_json(m) for m in obj["module"]["matrices"]]
+            rho = [_matrix_from_json(m) for m in _json_field(obj["module"], "matrices", list)]
             out["module"] = equivariant_evaluation_module(
                 out["fixed_algebra"], out["ideal"], rho
             )

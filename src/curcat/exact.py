@@ -339,19 +339,6 @@ def specialize_delta(p: DeltaPoly, value) -> Fraction:
 # cyclotomic numbers
 
 
-def _euler_phi(m: int) -> int:
-    result, n, p = m, m, 2
-    while p * p <= n:
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            result -= result // p
-        p += 1
-    if n > 1:
-        result -= result // n
-    return result
-
-
 @functools.lru_cache(maxsize=None)
 def cyclotomic_coeffs(m: int) -> tuple[Fraction, ...]:
     """Coefficients (ascending) of the m-th cyclotomic polynomial.
@@ -380,15 +367,12 @@ class CycloNumber(_DensePoly):
     _VAR = "z"
 
     def __init__(self, conductor: int, coeffs: Iterable = ()):
-        phi = _euler_phi(conductor)
+        modulus = cyclotomic_coeffs(conductor)
         c = _as_fractions(coeffs)
-        if len(c) >= phi + 1:
-            _, c = _poly_divmod(c, cyclotomic_coeffs(conductor))
-        _poly_trim(c)
-        if len(c) > phi:
-            raise AssertionError("reduction failed")
+        if len(c) >= len(modulus):
+            _, c = _poly_divmod(c, modulus)
         object.__setattr__(self, "conductor", conductor)
-        object.__setattr__(self, "coeffs", tuple(c))
+        object.__setattr__(self, "coeffs", tuple(_poly_trim(c)))
 
     def _new(self, coeffs: Sequence[Fraction]) -> "CycloNumber":
         return CycloNumber(self.conductor, coeffs)
@@ -816,35 +800,47 @@ def kernel_basis(m: ExactMatrix) -> list[tuple]:
 
 
 def solve_affine(a: ExactMatrix, b: Sequence) -> AffineSolutionSpace:
-    """Solve A x = b exactly, returning the full affine solution space.
+    """Solve A x = b exactly, returning the full affine solution space."""
+    return solve_each(a, [b])[0]
 
-    One elimination of the augmented matrix serves both parts: when the
-    system is consistent no pivot lies in the last column, so the first
-    ``a.cols`` columns of the reduced matrix are the reduced form of A.
+
+def solve_each(a: ExactMatrix, rhs: Sequence[Sequence]) -> list[AffineSolutionSpace]:
+    """Solve A x = b for every b in rhs with one elimination of [A | B].
+
+    Leftmost pivoting puts A's pivots first, so the pivots left of column
+    ``a.cols`` are those of A and their count r is A's rank; the first
+    ``a.cols`` columns of the top r rows are A's reduced form. Row operations
+    keep every linear relation among columns, so b_j lies in A's column space
+    exactly when its reduced column is a combination of A's, that is, zero
+    in the rows below r. A pivot in another column b_k sits in a row at or
+    below r; the eliminations it causes subtract multiples of that row, which
+    is zero in every consistent column, so they change only columns that
+    already fail. A consistent b_j therefore reads its particular solution
+    from the top r rows as if it were reduced alone, and every consistent
+    b_j shares A's null basis.
     """
     _require_field(a)
-    if len(b) != a.rows:
-        raise ValueError(f"right-hand side has length {len(b)}, expected {a.rows}")
-    if a.rows == 0:
-        # No constraints: everything solves.
-        return AffineSolutionSpace(
-            particular=tuple([a.ring.zero] * a.cols),
-            basis=tuple(_null_vectors(a, (), a.cols)),
-        )
+    for b in rhs:
+        if len(b) != a.rows:
+            raise ValueError(f"right-hand side has length {len(b)}, expected {a.rows}")
     aug = ExactMatrix(
-        [list(row) + [rhs] for row, rhs in zip(a.entries, b)], a.ring
+        [list(row) + [b[i] for b in rhs] for i, row in enumerate(a.entries)],
+        a.ring,
+        cols=a.cols + len(rhs),
     )
     reduced, _, pivots = rref(aug)
-    if a.cols in pivots:
-        return AffineSolutionSpace(particular=None, basis=())
-    zero = a.ring.zero
-    particular = [zero] * a.cols
-    for r_idx, pc in enumerate(pivots):
-        particular[pc] = reduced.entries[r_idx][a.cols]
-    return AffineSolutionSpace(
-        particular=tuple(particular),
-        basis=tuple(_null_vectors(reduced, pivots, a.cols)),
-    )
+    pivots = [c for c in pivots if c < a.cols]
+    basis = tuple(_null_vectors(reduced, pivots, a.cols))
+    out = []
+    for j in range(a.cols, aug.cols):
+        if any(row[j] for row in reduced.entries[len(pivots):]):
+            out.append(AffineSolutionSpace(particular=None, basis=()))
+            continue
+        particular = [a.ring.zero] * a.cols
+        for row, pc in zip(reduced.entries, pivots):
+            particular[pc] = row[j]
+        out.append(AffineSolutionSpace(particular=tuple(particular), basis=basis))
+    return out
 
 
 def matrix_from_columns(columns: Sequence[Sequence[Scalar]], ring: Ring | None = None) -> ExactMatrix:

@@ -145,10 +145,12 @@ class KarMorphism:
         return kar_add(self, other)
 
     def __sub__(self, other: "KarMorphism") -> "KarMorphism":
-        return kar_add(self, kar_scale(other, -1))
+        return kar_add(self, -other)
 
     def __neg__(self) -> "KarMorphism":
-        return kar_scale(self, -1)
+        return KarMorphism(
+            self.source, self.target, tuple(tuple(-b for b in row) for row in self.blocks)
+        )
 
     def __mul__(self, other):
         if isinstance(other, KarMorphism):

@@ -1,6 +1,7 @@
 """Tests for the finite-group-equivariant matrix backend."""
 from __future__ import annotations
 
+import importlib.util
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -637,3 +638,71 @@ def test_setup_from_json_rebuilds_the_bundle(bundle):
     assert out["fixed_algebra"].bracket_closed
     assert out["module"].passed
     assert out["module"].module_dim == 1
+
+
+def _square_root_of_one_document() -> dict:
+    """Q[t]/(t^2 - 1) with Z2 acting by t -> -t, as a description file."""
+    return {
+        "group": {"factors": [2]},
+        "algebra": {
+            "structure": [[["1", "0"], ["0", "1"]], [["0", "1"], ["1", "0"]]],
+            "unit": ["1", "0"],
+        },
+        "actions": {"algebra": [[["1", "0"], ["0", "-1"]]]},
+    }
+
+
+def _with(path: tuple, value) -> dict:
+    """The square-root-of-one document with one field replaced (or removed,
+    when value is None and the path ends in a key)."""
+    doc = _square_root_of_one_document()
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    if value is None and isinstance(path[-1], str):
+        del target[path[-1]]
+    else:
+        target[path[-1]] = value
+    return doc
+
+
+def test_square_root_of_one_document_reads():
+    out = setup_from_json_dict(_square_root_of_one_document())
+    assert out["algebra"].dim == 2 and out["algebra_act"].dim == 2
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {},
+        [_square_root_of_one_document()],
+        _with(("group", "factors"), ["2"]),
+        _with(("algebra", "structure"), 5),
+        _with(("algebra", "unit", 0), None),
+        _with(("group", "factors"), None),
+        _with(("actions",), None),
+    ],
+    ids=[
+        "empty-object",
+        "top-level-list",
+        "string-factor",
+        "number-structure",
+        "null-scalar",
+        "missing-factors",
+        "missing-actions",
+    ],
+)
+def test_setup_from_json_refuses_malformed_documents(doc):
+    with pytest.raises(EquivariantDataError):
+        setup_from_json_dict(doc)
+
+
+def test_outputs_match_the_frozen_text():
+    """tests/oracles/frozen_equivariant_outputs.json holds the text that
+    freeze_equivariant_outputs.py rendered when it was frozen."""
+    spec = importlib.util.spec_from_file_location(
+        "freeze_equivariant_outputs", ORACLES / "freeze_equivariant_outputs.py"
+    )
+    freeze = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(freeze)
+    assert freeze.render() == (ORACLES / "frozen_equivariant_outputs.json").read_text()

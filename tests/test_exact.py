@@ -1,6 +1,7 @@
 """Tests for the exact scalar kinds and the dense linear algebra on them."""
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from curcat.exact import (
     rank,
     rref,
     solve_affine,
+    solve_each,
     specialize_delta,
 )
 
@@ -41,9 +43,7 @@ def small_delta_polys():
 
 
 def cyclo_numbers(m: int):
-    from curcat.exact import _euler_phi
-
-    return st.lists(rationals, max_size=_euler_phi(m)).map(
+    return st.lists(rationals, max_size=len(cyclotomic_coeffs(m)) - 1).map(
         lambda cs: CycloNumber(m, cs)
     )
 
@@ -118,6 +118,14 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_coeffs(4) == (one, Fraction(0), one)
     assert cyclotomic_coeffs(6) == (one, Fraction(-1), one)
     assert cyclotomic_coeffs(12) == (one, Fraction(0), Fraction(-1), Fraction(0), one)
+    for m in range(1, 31):
+        totient = sum(1 for k in range(1, m + 1) if math.gcd(k, m) == 1)
+        assert len(cyclotomic_coeffs(m)) - 1 == totient
+
+
+def test_cyclo_refuses_conductor_zero():
+    with pytest.raises(ValueError, match="conductor must be positive"):
+        CycloNumber(0)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 8, 12])
@@ -369,6 +377,109 @@ def test_solve_affine_solutions_actually_solve(rows, xs):
     for v in sol.basis:
         homo = [sum(c * x for c, x in zip(row, v)) for row in a.entries]
         assert all(h == 0 for h in homo)
+
+
+def _reference_solution(a_rows: list[list], b: list, ncols: int, one) -> AffineSolutionSpace:
+    """The solutions of A x = b read off the textbook reduction of [A | b] alone."""
+    zero = one - one
+    reduced, pivots = _reference_rref([list(row) + [x] for row, x in zip(a_rows, b)], one)
+    if ncols in pivots:
+        return AffineSolutionSpace(particular=None, basis=())
+    particular = [zero] * ncols
+    basis = []
+    for row, pc in zip(reduced, pivots):
+        particular[pc] = row[ncols]
+    for fc in range(ncols):
+        if fc not in pivots:
+            vec = [zero] * ncols
+            vec[fc] = one
+            for row, pc in zip(reduced, pivots):
+                vec[pc] = -row[fc]
+            basis.append(tuple(vec))
+    return AffineSolutionSpace(particular=tuple(particular), basis=tuple(basis))
+
+
+def _right_hand_sides(rng: random.Random, a_rows: list[list], ncols: int, entry, zero) -> list[list]:
+    """One to six right-hand sides: images A x, some shifted by combinations
+    of two shared random directions (off the column space unless A has full
+    row rank). The first is shifted more often than not, so inconsistent
+    sides often come before consistent ones and share their pivot rows."""
+    offsets = [[entry() for _ in a_rows] for _ in range(2)]
+
+    def side(shifted: bool) -> list:
+        x = [entry() for _ in range(ncols)]
+        b = [sum((c * v for c, v in zip(row, x)), zero) for row in a_rows]
+        if shifted:
+            c1, c2 = entry(), entry()
+            b = [y + c1 * u + c2 * w for y, u, w in zip(b, *offsets)]
+        return b
+
+    return [side(rng.random() < 0.7)] + [
+        side(rng.random() < 0.4) for _ in range(rng.randint(0, 5))
+    ]
+
+
+def _check_solve_each(a_rows: list[list], ncols: int, ring, rhs: list[list]) -> list[bool]:
+    """Assert solve_each against the reference and solve_affine, one side at
+    a time; returns the consistency of each side."""
+    a = ExactMatrix(a_rows, ring, cols=ncols)
+    got = solve_each(a, rhs)
+    assert len(got) == len(rhs)
+    for sol, b in zip(got, rhs):
+        assert sol == _reference_solution(a_rows, b, ncols, ring.one)
+        assert sol == solve_affine(a, b)
+    return [sol.is_consistent for sol in got]
+
+
+def _inconsistent_before_consistent(flags: list[bool]) -> bool:
+    return False in flags and True in flags[flags.index(False) + 1 :]
+
+
+def test_solve_each_matches_reference_per_side_over_rationals():
+    rng = random.Random(20242)
+
+    def entry():
+        return Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3]))
+
+    shapes = {"zero rows": 0, "zero cols": 0, "rank deficient": 0, "mixed": 0}
+    for i in range(200):
+        if i % 10 == 0:
+            a_rows, ncols = [], rng.randint(1, 5)
+            shapes["zero rows"] += 1
+        elif i % 10 == 1:
+            a_rows, ncols = [[] for _ in range(rng.randint(1, 5))], 0
+            shapes["zero cols"] += 1
+        else:
+            a_rows = _random_rational_matrix(rng)
+            ncols = len(a_rows[0])
+            if rank(ExactMatrix(a_rows, RATIONAL_RING)) < min(len(a_rows), ncols):
+                shapes["rank deficient"] += 1
+        flags = _check_solve_each(
+            a_rows, ncols, RATIONAL_RING, _right_hand_sides(rng, a_rows, ncols, entry, Fraction(0))
+        )
+        shapes["mixed"] += _inconsistent_before_consistent(flags)
+    assert shapes["zero rows"] and shapes["zero cols"]
+    assert shapes["rank deficient"] > 100 and shapes["mixed"] > 60
+
+
+def test_solve_each_matches_reference_per_side_over_cyclotomics():
+    rng = random.Random(20243)
+    ring = cyclo_ring(5)
+
+    def entry():
+        return CycloNumber(5, [Fraction(rng.randint(-3, 3)) for _ in range(4)])
+
+    mixed = 0
+    for i in range(30):
+        nrows, ncols = (0, 3) if i == 0 else (3, 0) if i == 1 else (rng.randint(1, 4), rng.randint(1, 4))
+        a_rows = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+        if nrows > 1:
+            a_rows[-1] = [x * CycloNumber.zeta(5, 2) for x in a_rows[0]]
+        flags = _check_solve_each(
+            a_rows, ncols, ring, _right_hand_sides(rng, a_rows, ncols, entry, ring.zero)
+        )
+        mixed += _inconsistent_before_consistent(flags)
+    assert mixed > 5
 
 
 def test_delta_matrix_refuses_row_reduction():
