@@ -10,6 +10,10 @@ conductor is the group exponent when the group forces roots of unity.
 Everything is validated eagerly: algebras for associativity, Lie algebras
 for antisymmetry and the Jacobi identity, group actions for generator
 orders and automorphism behaviour, ideals for closure and codimension one.
+A table is checked through its left multiplications M_i (column j is
+e_i e_j): associativity, the Jacobi identity and respect for the product
+are matrix identities among them, compared column by column so that a
+failure names its basis triple or pair.
 
 An action keeps the matrix of every group element, built once when it is
 validated, so projectors and stabilizers only look matrices up. Questions
@@ -276,6 +280,23 @@ def _kron_vector(x, a) -> tuple:
     return tuple(xi * aj for xi in x for aj in a)
 
 
+def _combination(coeffs, matrices, size: int, ring: Ring) -> ExactMatrix:
+    """The size x size matrix sum of c * M over paired coefficients and
+    matrices, in one pass over the entries; zero terms are skipped."""
+    terms = [(c, m.entries) for c, m in zip(coeffs, matrices) if c]
+    grid = [
+        [sum((c * m[r][s] for c, m in terms if m[r][s]), ring.zero) for s in range(size)]
+        for r in range(size)
+    ]
+    return ExactMatrix(grid, ring, cols=size)
+
+
+def _first_unequal_column(a: ExactMatrix, b: ExactMatrix) -> int | None:
+    """The first column where two same-shape matrices differ, or None."""
+    columns = zip(zip(*a.entries), zip(*b.entries))
+    return next((k for k, (x, y) in enumerate(columns) if x != y), None)
+
+
 # ---------------------------------------------------------------------------
 # finite-dimensional algebras
 
@@ -285,6 +306,10 @@ class _BilinearTable:
 
     structure[i][j] holds the coordinates of (basis i) * (basis j).
     """
+
+    def left_multiplications(self) -> list[ExactMatrix]:
+        """M_i for every basis vector e_i: column j of M_i is e_i * e_j."""
+        return [_vectors_matrix(row, self.dim, self.ring) for row in self.structure]
 
     def product(self, u, v) -> tuple:
         out = [self.ring.zero] * self.dim
@@ -313,10 +338,14 @@ class FDAlgebra(_BilinearTable):
 
 
 def fd_algebra(structure, commutative: bool = True, unit=None) -> FDAlgebra:
-    """Validate and freeze an associative product table."""
+    """Validate and freeze an associative product table: (e_i e_j) e_k =
+    e_i (e_j e_k) for every k says sum_p c_ij^p M_p = M_i M_j, where M_i is
+    left multiplication by e_i and c_ij^p are the coordinates of e_i e_j."""
     dim = len(structure)
     ring = _ring_of_scalars([c for row in structure for vec in row for c in vec])
     frozen = _freeze_table(structure, ring)
+    if unit is not None and len(unit) != dim:
+        raise EquivariantDataError(f"the unit needs {dim} coordinates, got {len(unit)}")
     alg = FDAlgebra(
         dim,
         frozen,
@@ -330,13 +359,12 @@ def fd_algebra(structure, commutative: bool = True, unit=None) -> FDAlgebra:
             for j in range(i):
                 if frozen[i][j] != frozen[j][i]:
                     raise AxiomError(f"product table is not commutative at ({i},{j})")
-    for i in range(dim):
-        for j in range(dim):
-            for k in range(dim):
-                left = alg.multiply(alg.multiply(basis[i], basis[j]), basis[k])
-                right = alg.multiply(basis[i], alg.multiply(basis[j], basis[k]))
-                if left != right:
-                    raise AxiomError(f"product is not associative at ({i},{j},{k})")
+    mults = alg.left_multiplications()
+    for i, m_i in enumerate(mults):
+        for j, m_j in enumerate(mults):
+            k = _first_unequal_column(_combination(frozen[i][j], mults, dim, ring), m_i @ m_j)
+            if k is not None:
+                raise AxiomError(f"product is not associative at ({i},{j},{k})")
     if alg.unit is not None:
         for i in range(dim):
             if alg.multiply(alg.unit, basis[i]) != basis[i] or alg.multiply(
@@ -400,35 +428,26 @@ class FDLieAlgebra(_BilinearTable):
 
 
 def fd_lie_algebra(structure) -> FDLieAlgebra:
-    """Validate antisymmetry and the Jacobi identity on basis triples."""
+    """Validate antisymmetry on the table entries, then the Jacobi identity:
+    given antisymmetry, its sum at (i, j, k) is column k of M_i M_j - M_j M_i
+    - sum_p c_ij^p M_p, for M_i = ad(e_i) and c_ij^p the coordinates of [e_i, e_j]."""
     dim = len(structure)
     ring = _ring_of_scalars([c for row in structure for vec in row for c in vec])
-    lie = FDLieAlgebra(dim, _freeze_table(structure, ring), ring)
-    basis = _standard_basis(dim, ring)
-    zero = tuple(ring.zero for _ in range(dim))
-
-    def add(u, v):
-        return tuple(a + b for a, b in zip(u, v))
-
+    frozen = _freeze_table(structure, ring)
+    lie = FDLieAlgebra(dim, frozen, ring)
     for i in range(dim):
-        if lie.bracket(basis[i], basis[i]) != zero:
+        if any(frozen[i][i]):
             raise AxiomError(f"bracket of basis vector {i} with itself is nonzero")
         for j in range(dim):
-            plus = add(lie.bracket(basis[i], basis[j]), lie.bracket(basis[j], basis[i]))
-            if plus != zero:
+            if any(a + b for a, b in zip(frozen[i][j], frozen[j][i])):
                 raise AxiomError(f"bracket is not antisymmetric at ({i},{j})")
-    for i in range(dim):
-        for j in range(dim):
-            for k in range(dim):
-                tot = add(
-                    add(
-                        lie.bracket(basis[i], lie.bracket(basis[j], basis[k])),
-                        lie.bracket(basis[j], lie.bracket(basis[k], basis[i])),
-                    ),
-                    lie.bracket(basis[k], lie.bracket(basis[i], basis[j])),
-                )
-                if tot != zero:
-                    raise AxiomError(f"Jacobi identity fails at ({i},{j},{k})")
+    ads = lie.left_multiplications()
+    for i, ad_i in enumerate(ads):
+        for j, ad_j in enumerate(ads):
+            bracket = ad_i @ ad_j - ad_j @ ad_i
+            k = _first_unequal_column(_combination(frozen[i][j], ads, dim, ring), bracket)
+            if k is not None:
+                raise AxiomError(f"Jacobi identity fails at ({i},{j},{k})")
     return lie
 
 
@@ -526,22 +545,20 @@ def _table_action(
     product_name: str,
 ) -> GroupActionOnSpace:
     """A valid action whose generators g also respect the table's product:
-    g T = T (g (x) g), where column i*dim + j of T is basis i times basis j."""
+    g (e_i e_j) = (g e_i)(g e_j) for every j says g M_i = M_(g e_i) g, where
+    M_v = sum_p v_p M_p is left multiplication by v."""
     action = group_action(group, generators, dim=table.dim)
     if action.dim != table.dim:
         raise EquivariantDataError(f"action dimension differs from the {table_name}")
     action = _promote_action(action, table.ring)
-    dim = table.dim
-    products = [vec for row in table.structure for vec in row]
-    t = _promote_matrix(_vectors_matrix(products, dim, table.ring), action.ring)
+    ring, dim = action.ring, table.dim
+    mults = [_promote_matrix(m, ring) for m in table.left_multiplications()]
     for gen_index, g in enumerate(action.generators):
-        left = (g @ t).transpose().entries
-        right = (t @ g.kron(g)).transpose().entries
-        for col, (l_col, r_col) in enumerate(zip(left, right)):
-            if l_col != r_col:
+        for i, (m_i, g_i) in enumerate(zip(mults, zip(*g.entries))):
+            j = _first_unequal_column(g @ m_i, _combination(g_i, mults, dim, ring) @ g)
+            if j is not None:
                 raise EquivariantDataError(
-                    f"generator {gen_index} does not respect the {product_name} "
-                    f"at ({col // dim},{col % dim})"
+                    f"generator {gen_index} does not respect the {product_name} at ({i},{j})"
                 )
     return action
 
@@ -568,11 +585,9 @@ def isotypic_projector(action: GroupActionOnSpace, chi: Character) -> ExactMatri
     """Average the action against the inverse character values."""
     group = action.group
     ring = _join_rings(action.ring, _character_ring(group))
-    acc = ExactMatrix.zeros(action.dim, action.dim, ring)
-    for g, mat in zip(group.elements(), action.matrices):
-        weight = _promote_scalar(chi.inverse_value(g), ring)
-        acc = acc + _promote_matrix(mat, ring).scale(weight)
-    return acc.scale(Fraction(1, group.order))
+    share = Fraction(1, group.order)
+    weights = [_promote_scalar(chi.inverse_value(g), ring) * share for g in group.elements()]
+    return _combination(weights, action.matrices, action.dim, ring)
 
 
 def isotypic_basis(action: GroupActionOnSpace, chi: Character) -> list[tuple]:
@@ -731,6 +746,8 @@ def max_ideal(algebra: FDAlgebra, basis) -> MaxIdeal:
     vecs = [tuple(_promote_scalar(c, ring) for c in v) for v in basis]
     if len(vecs) != algebra.dim - 1:
         raise EquivariantDataError("a maximal ideal here has dimension dim - 1")
+    if any(len(v) != algebra.dim for v in vecs):
+        raise EquivariantDataError(f"ideal basis vectors need {algebra.dim} coordinates")
     span = _vectors_matrix(vecs, algebra.dim, ring)
     if rank(span) != algebra.dim - 1:
         raise EquivariantDataError("ideal basis vectors are linearly dependent")
@@ -867,8 +884,8 @@ def equivariant_evaluation_module(
     A basis tensor whose character is trivial on the ideal's stabilizer acts
     by the evaluated scalar times the supplied matrix action of its Lie
     part; every other basis tensor acts by zero. rho lists one matrix per
-    vector of the stabilizer-fixed subalgebra basis (see
-    fixed_subalgebra_basis). The compatibility identity is checked on all
+    vector of the Lie bases of those characters' pieces, in character order
+    (fixed_subalgebra_basis). The compatibility identity is checked on all
     pairs of basis tensors.
     """
     ring = ema.ring
@@ -877,8 +894,8 @@ def equivariant_evaluation_module(
         chi.exponents for chi in characters_trivial_on(ema.group, stab.elements)
     }
     sub_basis = [
-        tuple(_promote_scalar(c, ring) for c in v)
-        for v in fixed_subalgebra_basis(ema.lie_act, stab.elements)
+        x for piece in ema.pieces if piece.character.exponents in allowed
+        for x in piece.lie_basis
     ]
     rho = tuple(_promote_matrix(mat, ring) for mat in rho)
     if len(rho) != len(sub_basis):
@@ -898,11 +915,7 @@ def equivariant_evaluation_module(
         sol = solve_affine(sub_span, x)
         if not sol.is_consistent:
             raise EquivariantDataError("vector leaves the fixed subalgebra")
-        acc = ExactMatrix.zeros(module_dim, module_dim, ring)
-        for c, mat in zip(sol.particular, rho):
-            if c:
-                acc = acc + mat.scale(c)
-        return acc
+        return _combination(sol.particular, rho, module_dim, ring)
 
     if validate_module:
         for i, x in enumerate(sub_basis):
@@ -1067,7 +1080,7 @@ def setup_from_json_dict(obj: dict) -> dict:
     alg_desc = _json_field(obj, "algebra", dict)
     algebra = fd_algebra(
         _scalars_from_json(_json_field(alg_desc, "structure", list), 3),
-        commutative=alg_desc.get("commutative", True),
+        commutative=_json_field({"commutative": True, **alg_desc}, "commutative", bool),
         unit=_scalars_from_json(alg_desc["unit"], 1)
         if alg_desc.get("unit") is not None
         else None,

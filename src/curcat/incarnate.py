@@ -8,7 +8,10 @@ unoriented pairing is the identity bilinear form. Loops evaluate to n, so
 delta-polynomial coefficients specialize at n before entering a matrix.
 
 Multi-index flattening is row-major with the leftmost tensor factor most
-significant; hom spaces flatten codomain-major (row index first).
+significant; hom spaces flatten codomain-major (row index first). A
+morphism realizes in one pass: each term adds its coefficient at n to the
+n^pairs entries of its matching in a single grid, at its block's offset
+for an envelope morphism.
 
 Kernels of the realization map never build those matrices. Let M be the
 matrix whose columns are the flattened realizations of the matchings of a
@@ -23,7 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 from fractions import Fraction
-from itertools import permutations, product as iproduct
+from itertools import accumulate, permutations, product as iproduct
 
 from curcat.diagrams import (
     ORIENTED,
@@ -46,7 +49,7 @@ from curcat.exact import (
     matrix_from_columns,
     rref,
 )
-from curcat.karoubi import KarMorphism
+from curcat.karoubi import KarMorphism, kar_diag
 from curcat.lie import report_entry, unoriented_so_object
 
 
@@ -74,70 +77,50 @@ def hom_basis(w1: Word | str, w2: Word | str) -> list[Matching]:
     return all_matchings(w1, w2)
 
 
-def _digits_to_index(digits: list[int], n: int) -> int:
-    idx = 0
-    for d in digits:
-        idx = idx * n + d
-    return idx
-
-
 def incarnate_matching(m: Matching, cfg: IncarnationConfig) -> ExactMatrix:
-    """The 0/1 matrix of a single matching.
-
-    Each pair forces its two endpoints to carry equal basis indices; the
-    nonzero entries are exactly the joint index assignments, one free index
-    per pair.
-    """
-    n = cfg.n
-    k = len(m.domain)
-    rows = cfg.space_dim(m.codomain)
-    cols = cfg.space_dim(m.domain)
-    entries = [[Fraction(0)] * cols for _ in range(rows)]
-    opens = [x for x, y in enumerate(m.partner) if x < y]
-    digits = [0] * len(m.partner)
-    for assignment in iproduct(range(n), repeat=len(opens)):
-        for x, value in zip(opens, assignment):
-            digits[x] = digits[m.partner[x]] = value
-        r = _digits_to_index(digits[k:], n)
-        c = _digits_to_index(digits[:k], n)
-        entries[r][c] += 1
-    return ExactMatrix(entries, RATIONAL_RING, cols=cols)
+    """The 0/1 matrix of a single matching."""
+    return incarnate(DiagMorphism.from_matching(m), cfg)
 
 
 def incarnate(f: DiagMorphism | KarMorphism, cfg: IncarnationConfig) -> ExactMatrix:
     """Linearly extend the matching realization; loops become n.
 
     Envelope morphisms map to block matrices over the direct sum of the
-    summand spaces.
+    summand spaces, and a diagram morphism is the one block between its
+    words; every term of every block is written into one grid.
     """
-    if isinstance(f, KarMorphism):
-        return _incarnate_blocks(f, cfg)
-    rows = cfg.space_dim(f.codomain)
-    cols = cfg.space_dim(f.domain)
-    acc = ExactMatrix.zeros(rows, cols, RATIONAL_RING)
-    for m, coeff in f.terms:
-        value = coeff.evaluate(Fraction(cfg.n))
-        acc = acc + incarnate_matching(m, cfg).scale(value)
-    return acc
+    if isinstance(f, DiagMorphism):
+        f = kar_diag(f)
+    row_offsets = list(accumulate(map(cfg.space_dim, f.target.summands), initial=0))
+    col_offsets = list(accumulate(map(cfg.space_dim, f.source.summands), initial=0))
+    grid = [[Fraction(0)] * col_offsets[-1] for _ in range(row_offsets[-1])]
+    for row, r0 in zip(f.blocks, row_offsets):
+        for block, c0 in zip(row, col_offsets):
+            for partner, coeff in block.partner_terms:
+                value = coeff.evaluate(Fraction(cfg.n))
+                if value:
+                    _add_matching(grid, partner, len(block.domain), cfg.n, value, r0, c0)
+    return ExactMatrix(grid, RATIONAL_RING, cols=col_offsets[-1])
 
 
-def _incarnate_blocks(f: KarMorphism, cfg: IncarnationConfig) -> ExactMatrix:
-    row_dims = [cfg.space_dim(w) for w in f.target.summands]
-    col_dims = [cfg.space_dim(w) for w in f.source.summands]
-    rows = sum(row_dims)
-    cols = sum(col_dims)
-    entries = [[Fraction(0)] * cols for _ in range(rows)]
-    r_off = 0
-    for bi, row in enumerate(f.blocks):
-        c_off = 0
-        for bj, block in enumerate(row):
-            small = incarnate(block, cfg)
-            for r in range(small.rows):
-                for c in range(small.cols):
-                    entries[r_off + r][c_off + c] = small.entries[r][c]
-            c_off += col_dims[bj]
-        r_off += row_dims[bi]
-    return ExactMatrix(entries, RATIONAL_RING, cols=cols)
+def _add_matching(grid, partner, k: int, n: int, value, r0: int, c0: int) -> None:
+    """Add value at the n^pairs entries of one matching, offset by (r0, c0):
+    both ends of a pair carry its one free index, and endpoint x is the digit
+    of weight n^(k-1-x) of the column (bottom, x < k) or n^(last-x) of the row.
+    """
+    last = len(partner) - 1
+    weights = []
+    for x, y in enumerate(partner):
+        if x < y:
+            row = sum(n ** (last - e) for e in (x, y) if e >= k)
+            col = sum(n ** (k - 1 - e) for e in (x, y) if e < k)
+            weights.append((row, col))
+    for assignment in iproduct(range(n), repeat=len(weights)):
+        r, c = r0, c0
+        for v, (wr, wc) in zip(assignment, weights):
+            r += v * wr
+            c += v * wc
+        grid[r][c] += value
 
 
 # ---------------------------------------------------------------------------

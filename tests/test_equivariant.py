@@ -2,7 +2,9 @@
 from __future__ import annotations
 
 import importlib.util
+import itertools
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -36,7 +38,7 @@ from curcat.equivariant import (
     truncated_polynomial_algebra,
     twisted_evaluation_zero_check,
 )
-from curcat.exact import CycloNumber, ExactMatrix
+from curcat.exact import CycloNumber, ExactMatrix, matrix_from_columns
 from curcat.lie import AxiomError
 
 ORACLES = Path(__file__).parent / "oracles"
@@ -228,6 +230,12 @@ def test_fd_algebra_rejects_wrong_unit():
         fd_algebra(structure, unit=(Fraction(0), Fraction(1)))
 
 
+def test_fd_algebra_rejects_a_unit_of_the_wrong_length():
+    structure = truncated_polynomial_algebra(2).structure
+    with pytest.raises(EquivariantDataError, match="the unit needs 2 coordinates, got 1"):
+        fd_algebra(structure, unit=["1"])
+
+
 def test_fd_lie_algebra_rejects_ragged_structure():
     z = Fraction(0)
     with pytest.raises(EquivariantDataError, match="dim x dim x dim"):
@@ -264,6 +272,225 @@ def test_sl2_bracket_table():
     assert lie.bracket(e, f) == (0, 1, 0)
     assert lie.bracket(h, e) == (2, 0, 0)
     assert lie.bracket(h, f) == (0, 0, -2)
+
+
+# ---------------------------------------------------------------------------
+# the table checks against the basis-triple loops they replaced
+
+
+def _reference_product(structure, u, v) -> tuple:
+    dim = len(structure)
+    out = [Fraction(0)] * dim
+    for i, j in itertools.product(range(dim), repeat=2):
+        if u[i] and v[j]:
+            for k, c in enumerate(structure[i][j]):
+                out[k] += u[i] * v[j] * c
+    return tuple(out)
+
+
+def _reference_fd_algebra(structure, commutative, unit) -> None:
+    """fd_algebra's checks as dense products on every basis triple."""
+    dim = len(structure)
+    basis = [tuple(Fraction(int(t == i)) for t in range(dim)) for i in range(dim)]
+
+    def mul(u, v):
+        return _reference_product(structure, u, v)
+
+    if commutative:
+        for i in range(dim):
+            for j in range(i):
+                if structure[i][j] != structure[j][i]:
+                    raise AxiomError(f"product table is not commutative at ({i},{j})")
+    for i, j, k in itertools.product(range(dim), repeat=3):
+        if mul(mul(basis[i], basis[j]), basis[k]) != mul(basis[i], mul(basis[j], basis[k])):
+            raise AxiomError(f"product is not associative at ({i},{j},{k})")
+    if unit is not None:
+        for i in range(dim):
+            if mul(unit, basis[i]) != basis[i] or mul(basis[i], unit) != basis[i]:
+                raise AxiomError(f"claimed unit fails on basis vector {i}")
+
+
+def _reference_fd_lie_algebra(structure) -> None:
+    """fd_lie_algebra's checks as dense brackets on every basis pair and
+    triple, with the cyclic Jacobi sum."""
+    dim = len(structure)
+    basis = [tuple(Fraction(int(t == i)) for t in range(dim)) for i in range(dim)]
+    zero = (Fraction(0),) * dim
+
+    def br(u, v):
+        return _reference_product(structure, u, v)
+
+    def add(*vectors):
+        return tuple(map(sum, zip(*vectors)))
+
+    for i in range(dim):
+        if br(basis[i], basis[i]) != zero:
+            raise AxiomError(f"bracket of basis vector {i} with itself is nonzero")
+        for j in range(dim):
+            if add(br(basis[i], basis[j]), br(basis[j], basis[i])) != zero:
+                raise AxiomError(f"bracket is not antisymmetric at ({i},{j})")
+    for i, j, k in itertools.product(range(dim), repeat=3):
+        e_i, e_j, e_k = basis[i], basis[j], basis[k]
+        total = add(br(e_i, br(e_j, e_k)), br(e_j, br(e_k, e_i)), br(e_k, br(e_i, e_j)))
+        if total != zero:
+            raise AxiomError(f"Jacobi identity fails at ({i},{j},{k})")
+
+
+def _reference_respects(table, generator, product_name: str) -> None:
+    """g T = T (g (x) g), where column i*dim + j of T is basis i times basis j."""
+    dim = table.dim
+    t = matrix_from_columns([vec for row in table.structure for vec in row])
+    left = (generator @ t).transpose().entries
+    right = (t @ generator.kron(generator)).transpose().entries
+    for col, (l_col, r_col) in enumerate(zip(left, right)):
+        if l_col != r_col:
+            raise EquivariantDataError(
+                f"generator 0 does not respect the {product_name} "
+                f"at ({col // dim},{col % dim})"
+            )
+
+
+def _outcome(check, *args):
+    try:
+        check(*args)
+    except (AxiomError, EquivariantDataError) as exc:
+        return type(exc).__name__, str(exc)
+    return None
+
+
+def _random_table(rng: random.Random, dim: int) -> list:
+    return [
+        [tuple(Fraction(rng.choice((-1, 0, 0, 0, 1))) for _ in range(dim)) for _ in range(dim)]
+        for _ in range(dim)
+    ]
+
+
+def _perturbed(rng: random.Random, structure, antisymmetric: bool = False) -> list:
+    """The table with one random coordinate moved by +-1 (and its mirror,
+    for an antisymmetric table)."""
+    table = [[list(vec) for vec in row] for row in structure]
+    dim = len(table)
+    i, j, k = (rng.randrange(dim) for _ in range(3))
+    step = rng.choice((-1, 1))
+    if antisymmetric and i == j:
+        return [[tuple(vec) for vec in row] for row in table]
+    table[i][j][k] += step
+    if antisymmetric:
+        table[j][i][k] -= step
+    return [[tuple(vec) for vec in row] for row in table]
+
+
+def _upper_triangular_table() -> list:
+    """2x2 upper triangular matrices on the basis E11, E12, E22."""
+    z, o = Fraction(0), Fraction(1)
+    e11, e12, e22, zero = (o, z, z), (z, o, z), (z, z, o), (z, z, z)
+    return [[e11, e12, zero], [zero, zero, e12], [zero, zero, e22]]
+
+
+def _random_algebra_case(rng: random.Random):
+    dim = rng.randint(1, 4)
+    kind = rng.randrange(4)
+    unit = None
+    if kind == 0:
+        structure, commutative = _random_table(rng, dim), rng.random() < 0.2
+    elif kind == 3:
+        structure, commutative = _upper_triangular_table(), False
+        unit = (Fraction(1), Fraction(0), Fraction(1))
+    else:
+        modulus = [0] * dim if kind == 1 else [rng.randint(-2, 2) for _ in range(dim)]
+        base = polynomial_quotient_algebra(modulus)
+        structure, commutative, unit = base.structure, rng.random() < 0.5, base.unit
+    if rng.random() < 0.6:
+        structure = _perturbed(rng, structure)
+    if unit is not None and rng.random() < 0.3:
+        unit = None
+    return structure, commutative, unit
+
+
+def _random_lie_case(rng: random.Random):
+    dim = rng.randint(1, 4)
+    kind = rng.randrange(4)
+    if kind == 0:
+        return _random_table(rng, dim)
+    if kind == 1:
+        table = _random_table(rng, dim)
+        for i in range(dim):
+            table[i][i] = (Fraction(0),) * dim
+            for j in range(i):
+                table[i][j] = tuple(-c for c in table[j][i])
+        return table
+    if kind == 2:
+        structure = sl2().structure
+    else:
+        # the Heisenberg algebra [x, y] = z, padded with a central vector
+        z, o = Fraction(0), Fraction(1)
+        structure = [[(z,) * 4 for _ in range(4)] for _ in range(4)]
+        structure[0][1], structure[1][0] = (z, z, o, z), (z, z, -o, z)
+    if rng.random() < 0.6:
+        structure = _perturbed(rng, structure, antisymmetric=rng.random() < 0.8)
+    return structure
+
+
+def test_table_checks_agree_with_the_triple_loops():
+    rng = random.Random(20)
+    outcomes = []
+    for _ in range(150):
+        structure, commutative, unit = _random_algebra_case(rng)
+        got = _outcome(fd_algebra, structure, commutative, unit)
+        assert got == _outcome(_reference_fd_algebra, structure, commutative, unit)
+        outcomes.append(got)
+    for _ in range(150):
+        structure = _random_lie_case(rng)
+        got = _outcome(fd_lie_algebra, structure)
+        assert got == _outcome(_reference_fd_lie_algebra, structure)
+        outcomes.append(got)
+    messages = {o[1].split(" at ")[0] for o in outcomes if o is not None}
+    assert {
+        "product is not associative",
+        "product table is not commutative",
+        "bracket is not antisymmetric",
+        "Jacobi identity fails",
+    } <= messages
+    assert sum(o is None for o in outcomes[:150]) >= 20
+    assert sum(o is None for o in outcomes[150:]) >= 20
+    assert len({o for o in outcomes if o is not None}) >= 25
+
+
+def _random_involution(rng: random.Random, dim: int, fixed: int) -> ExactMatrix:
+    """A signed permutation of order dividing two that fixes the first
+    `fixed` basis vectors: disjoint transpositions, one sign per orbit."""
+    points = list(range(fixed, dim))
+    rng.shuffle(points)
+    image = list(range(dim))
+    while len(points) >= 2 and rng.random() < 0.6:
+        a, b = points.pop(), points.pop()
+        image[a], image[b] = b, a
+    signs = {x: 1 for x in range(fixed)}
+    for x in range(dim):
+        signs[x] = signs.get(image[x], rng.choice((-1, 1)))
+    return ExactMatrix.from_rows(
+        [[signs[c] if image[c] == r else 0 for c in range(dim)] for r in range(dim)]
+    )
+
+
+def test_action_check_agrees_with_the_kronecker_reference():
+    rng = random.Random(21)
+    lie = sl2()
+    outcomes = []
+    for case in range(300):
+        if case % 2:
+            table, build, name = lie, lie_action, "bracket"
+        else:
+            table = truncated_polynomial_algebra(rng.randint(1, 5))
+            build, name = algebra_action, "product"
+        # algebra automorphisms fix the unit, so most draws keep it in place
+        g = _random_involution(rng, table.dim, int(name == "product" and rng.random() < 0.8))
+        got = _outcome(build, Z2, table, [g])
+        assert got == _outcome(_reference_respects, table, g, name)
+        outcomes.append(got)
+    assert sum(o is None for o in outcomes[0::2]) >= 20
+    assert sum(o is None for o in outcomes[1::2]) >= 20
+    assert len({o for o in outcomes if o is not None}) >= 6
 
 
 # ---------------------------------------------------------------------------
@@ -447,6 +674,13 @@ def test_max_ideal_rejects_non_ideal_span():
     algebra = truncated_polynomial_algebra(4)
     with pytest.raises(EquivariantDataError, match="not an ideal"):
         max_ideal(algebra, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)])
+
+
+@pytest.mark.parametrize("basis", [[(0, 1, 0)], [(0,)]], ids=["too-long", "too-short"])
+def test_max_ideal_rejects_vectors_of_the_wrong_length(basis):
+    algebra = truncated_polynomial_algebra(2)
+    with pytest.raises(EquivariantDataError, match="ideal basis vectors need 2 coordinates"):
+        max_ideal(algebra, basis)
 
 
 def test_truncation_ideal_evaluates_constant_term():
@@ -681,6 +915,8 @@ def test_square_root_of_one_document_reads():
         _with(("algebra", "unit", 0), None),
         _with(("group", "factors"), None),
         _with(("actions",), None),
+        _with(("algebra", "unit"), ["1"]),
+        {**_square_root_of_one_document(), "ideal": {"basis": [["-1", "1", "0"]]}},
     ],
     ids=[
         "empty-object",
@@ -690,11 +926,27 @@ def test_square_root_of_one_document_reads():
         "null-scalar",
         "missing-factors",
         "missing-actions",
+        "short-unit",
+        "long-ideal-vector",
     ],
 )
 def test_setup_from_json_refuses_malformed_documents(doc):
     with pytest.raises(EquivariantDataError):
         setup_from_json_dict(doc)
+
+
+@pytest.mark.parametrize("value", ["false", 0, None, [1]])
+def test_setup_from_json_requires_a_bool_commutative_flag(value):
+    doc = _square_root_of_one_document()
+    doc["algebra"]["commutative"] = value
+    with pytest.raises(EquivariantDataError, match="bool 'commutative'"):
+        setup_from_json_dict(doc)
+
+
+@pytest.mark.parametrize("value", [True, False])
+def test_setup_from_json_reads_the_commutative_flag(value):
+    out = setup_from_json_dict(_with(("algebra", "commutative"), value))
+    assert out["algebra"].commutative is value
 
 
 def test_outputs_match_the_frozen_text():

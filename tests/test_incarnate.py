@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -22,7 +23,7 @@ from curcat.diagrams import (
     tensor,
     word,
 )
-from curcat.exact import RATIONAL_RING, ExactMatrix, rank
+from curcat.exact import RATIONAL_RING, DeltaPoly, ExactMatrix, rank
 from curcat.incarnate import (
     IncarnationConfig,
     antisymmetrizer_kernel_check,
@@ -33,7 +34,16 @@ from curcat.incarnate import (
     kernel_report_json,
     so_object_image_check,
 )
-from curcat.karoubi import kar_braiding, kar_object, kar_word
+from curcat.karoubi import (
+    KarMorphism,
+    kar_braiding,
+    kar_direct_sum,
+    kar_identity,
+    kar_morphism,
+    kar_object,
+    kar_word,
+)
+from curcat.lie import unoriented_so_object
 
 ORACLES = Path(__file__).parent / "oracles"
 
@@ -188,6 +198,82 @@ def test_envelope_morphism_incarnates_blockwise():
     got = incarnate(br, cfg)
     want = incarnate(swap_words(word("u"), word("d")), cfg)
     assert got == want
+
+
+def _reference_realization(f, n: int) -> list[list[Fraction]]:
+    """The realization built entry by entry from each term's ("bot", i) /
+    ("top", j) pairs: a joint index assignment gives both ends of a pair one
+    index, the top indices give the row and the bottom indices the column;
+    envelope morphisms place each block's realization at its summand
+    offsets."""
+    if isinstance(f, KarMorphism):
+        row_dims = [n ** len(w) for w in f.target.summands]
+        col_dims = [n ** len(w) for w in f.source.summands]
+        grid = [[Fraction(0)] * sum(col_dims) for _ in range(sum(row_dims))]
+        for i, row in enumerate(f.blocks):
+            for j, block in enumerate(row):
+                r0, c0 = sum(row_dims[:i]), sum(col_dims[:j])
+                for r, line in enumerate(_reference_realization(block, n)):
+                    for c, x in enumerate(line):
+                        grid[r0 + r][c0 + c] += x
+        return grid
+    k_bot, k_top = len(f.domain), len(f.codomain)
+    grid = [[Fraction(0)] * n**k_bot for _ in range(n**k_top)]
+    for m, coeff in f.terms:
+        for values in product(range(n), repeat=len(m.pairs)):
+            digits = {}
+            for (a, b), v in zip(m.pairs, values):
+                digits[a] = digits[b] = v
+            row = sum(digits[("top", i)] * n ** (k_top - 1 - i) for i in range(k_top))
+            col = sum(digits[("bot", i)] * n ** (k_bot - 1 - i) for i in range(k_bot))
+            grid[row][col] += coeff.evaluate(Fraction(n))
+    return grid
+
+
+def _realization_cases() -> list:
+    """Multi-term diagrams (one with a coefficient that vanishes at n = 2)
+    and envelope morphisms between direct sums of several summands."""
+    two_minus_delta = DiagMorphism.scalar(DeltaPoly([2, -1]))
+    loop_term = tensor(two_minus_delta, crossing("u", "u")) + identity(word("uu"))
+    mixed = antisymmetrizer(3) + tensor(crossing("u", "u"), identity(word("u"))).scale(3)
+    so = unoriented_so_object()
+    sums = kar_direct_sum([kar_word("u"), kar_word("ud"), kar_word("")])
+    small = kar_direct_sum([kar_word("u"), kar_word("d")])
+    pair = kar_direct_sum([kar_word("uu"), kar_word("")])
+    ud = word("ud")
+    blocks = [
+        [cap("ud").scale(2), DiagMorphism.scalar(DeltaPoly([1, 1]))],
+        [identity(ud) + compose(cup("ud"), cap("ud")), cup("ud").scale(DeltaPoly([0, 1]))],
+    ]
+    return [
+        loop_term,
+        mixed,
+        compose(cap("du"), cup("du")).scale(Fraction(1, 2)),
+        so.carrier.idempotent[0][0],
+        so.bracket.blocks[0][0],
+        kar_identity(sums),
+        kar_braiding(small, pair),
+        kar_morphism(
+            kar_direct_sum([kar_word("ud"), kar_word("")]),
+            kar_direct_sum([kar_word(""), kar_word("ud")]),
+            blocks,
+        ),
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_incarnate_matches_the_pairwise_reference(n):
+    for f in _realization_cases():
+        flavor = f.source.summands[0].flavor if isinstance(f, KarMorphism) else f.flavor
+        got = incarnate(f, IncarnationConfig(n, flavor))
+        assert got.entries == tuple(map(tuple, _reference_realization(f, n)))
+        if not isinstance(f, KarMorphism):
+            for m, _ in f.terms:
+                single = DiagMorphism.from_matching(m)
+                want = _reference_realization(single, n)
+                assert incarnate_matching(m, IncarnationConfig(n, flavor)).entries == tuple(
+                    map(tuple, want)
+                )
 
 
 # ---------------------------------------------------------------------------
