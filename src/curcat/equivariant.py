@@ -16,7 +16,9 @@ are matrix identities among them, compared column by column so that a
 failure names its basis triple or pair.
 
 An action keeps the matrix of every group element, built once when it is
-validated, so projectors and stabilizers only look matrices up. Questions
+validated. Later answers are read off what is stored: projectors and the
+fixed-point dimension from the element matrices, stabilizers from the
+evaluation row, module reports from the fixed-point bracket table. Questions
 asked of one span (is each of these vectors in it, and with which
 coordinates) are answered by one elimination through ``solve_each``.
 """
@@ -39,7 +41,6 @@ from curcat.exact import (
     rank,
     ring_of,
     rref,
-    solve_affine,
     solve_each,
 )
 from curcat.lie import AxiomError, report_entry, report_passed
@@ -289,6 +290,11 @@ def _combination(coeffs, matrices, size: int, ring: Ring) -> ExactMatrix:
         for r in range(size)
     ]
     return ExactMatrix(grid, ring, cols=size)
+
+
+def _trace(m: ExactMatrix, ring: Ring):
+    """The trace of a square matrix, moved into ring."""
+    return sum((_promote_scalar(m.entries[i][i], ring) for i in range(m.rows)), ring.zero)
 
 
 def _first_unequal_column(a: ExactMatrix, b: ExactMatrix) -> int | None:
@@ -636,12 +642,6 @@ class FixedPointAlgebra:
     def dimension(self) -> int:
         return len(self.basis)
 
-    def basis_vectors(self) -> list[tuple]:
-        return [_kron_vector(x, a) for _, x, a in self.basis]
-
-    def bracket_of_simple_tensors(self, x, a, y, b) -> tuple:
-        return _kron_vector(self.lie.bracket(x, y), self.algebra.multiply(a, b))
-
 
 def equivariant_map_algebra(
     lie: FDLieAlgebra,
@@ -653,8 +653,9 @@ def equivariant_map_algebra(
 
     Each graded piece pairs the character's slice of g with the inverse
     character's slice of A; the bracket of two basis tensors re-expands in
-    the assembled basis, and the total dimension is cross-checked against
-    the rank of the diagonal fixed-point projector.
+    the assembled basis. The total dimension is cross-checked against the
+    character count (1/|G|) sum_g tr(L_g) tr(A_g), the averaged trace of
+    L_g (x) A_g, which reads traces of the stored matrices, not projectors.
     """
     if lie_act.group != algebra_act.group:
         raise EquivariantDataError("the two actions use different groups")
@@ -675,16 +676,9 @@ def equivariant_map_algebra(
         for x in lie_part:
             for a in alg_part:
                 basis.append((len(pieces) - 1, x, a))
-    diag_gens = [
-        _promote_matrix(gl, ring).kron(_promote_matrix(ga, ring))
-        for gl, ga in zip(lie_act.generators, algebra_act.generators)
-    ]
-    trivial = Character(group, (0,) * len(group.factors))
-    if group.factors:
-        diag = group_action(group, diag_gens)
-        fixed_rank = rank(isotypic_projector(diag, trivial))
-    else:
-        fixed_rank = lie.dim * algebra.dim
+    pairs = zip(lie_act.matrices, algebra_act.matrices)
+    trace_sum = sum((_trace(l_g, ring) * _trace(a_g, ring) for l_g, a_g in pairs), ring.zero)
+    fixed_rank = int(_promote_scalar(trace_sum, RATIONAL_RING) / group.order)
     span = _vectors_matrix([_kron_vector(x, a) for _, x, a in basis], lie.dim * algebra.dim, ring)
     lie_p = dataclasses.replace(
         lie, structure=_freeze_table(lie.structure, ring), ring=ring
@@ -739,7 +733,13 @@ class MaxIdeal:
 
 
 def max_ideal(algebra: FDAlgebra, basis) -> MaxIdeal:
-    """Validate ideal closure and codimension one, and build evaluation."""
+    """Validate ideal closure and codimension one, and build evaluation.
+
+    Evaluation needs no separate multiplicativity check. The quotient A/I is
+    one-dimensional and spanned by the unit, so every a is ev(a) 1 + i_a with
+    i_a in I. Then ab = ev(a) b + i_a b, and i_a b lies in I by closure, so
+    ev(ab) = ev(a) ev(b).
+    """
     if algebra.unit is None:
         raise EquivariantDataError("evaluation needs a unital algebra")
     ring = algebra.ring
@@ -752,27 +752,19 @@ def max_ideal(algebra: FDAlgebra, basis) -> MaxIdeal:
     if rank(span) != algebra.dim - 1:
         raise EquivariantDataError("ideal basis vectors are linearly dependent")
     std = _standard_basis(algebra.dim, ring)
-    for i in range(algebra.dim):
-        products = [algebra.multiply(std[i], v) for v in vecs]
-        if not all(sol.is_consistent for sol in solve_each(span, products)):
-            raise EquivariantDataError(
-                f"not an ideal: basis vector {i} times a generator leaves the span"
-            )
+    sols = solve_each(span, [algebra.multiply(e, v) for e in std for v in vecs])
+    failed = next((k for k, sol in enumerate(sols) if not sol.is_consistent), None)
+    if failed is not None:
+        raise EquivariantDataError(
+            f"not an ideal: basis vector {failed // len(vecs)} times a generator leaves the span"
+        )
     # decompose each standard vector over (ideal basis, unit); the unit
     # coefficient is the evaluation. A unit inside the ideal leaves these
     # dim vectors of rank dim - 1, so some standard vector has no solution.
     sols = solve_each(_vectors_matrix(vecs + [algebra.unit], algebra.dim, ring), std)
     if not all(sol.is_consistent for sol in sols):
         raise EquivariantDataError("the unit lies in the ideal")
-    m = MaxIdeal(algebra, tuple(vecs), tuple(sol.particular[-1] for sol in sols))
-    for i in range(algebra.dim):
-        for j in range(algebra.dim):
-            prod = m.ev_value(algebra.multiply(std[i], std[j]))
-            if prod != m.ev_value(std[i]) * m.ev_value(std[j]):
-                raise EquivariantDataError(
-                    f"evaluation is not multiplicative at ({i},{j})"
-                )
-    return m
+    return MaxIdeal(algebra, tuple(vecs), tuple(sol.particular[-1] for sol in sols))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -787,15 +779,22 @@ class StabilizerResult:
 
 
 def ideal_stabilizer(action: GroupActionOnSpace, m: MaxIdeal) -> StabilizerResult:
-    """All group elements whose matrices map the ideal span onto itself."""
+    """All group elements whose matrices map the ideal into itself.
+
+    The ideal is the kernel of the evaluation row ev, and a row vanishes on
+    that kernel exactly when it is a multiple of ev. So g keeps the ideal
+    exactly when the row ev M_g is a multiple of ev, which is checked by its
+    two-by-two minors against a nonzero entry of ev (ev sends the unit to one).
+    """
     promoted = _promote_action(action, m.algebra.ring)
     ring = promoted.ring
-    vecs = [tuple(_promote_scalar(c, ring) for c in v) for v in m.basis]
-    span = _vectors_matrix(vecs, m.algebra.dim, ring)
+    ev = tuple(_promote_scalar(c, ring) for c in m.ev_row)
+    k = next(i for i, c in enumerate(ev) if c)
+    ev_row = ExactMatrix([ev], ring)
     kept = []
-    for g in action.group.elements():
-        moved = [promoted.transform(g, v) for v in vecs]
-        if all(sol.is_consistent for sol in solve_each(span, moved)):
+    for g, mat in zip(action.group.elements(), promoted.matrices):
+        moved = (ev_row @ mat).entries[0]
+        if all(x * ev[k] == moved[k] * e for x, e in zip(moved, ev)):
             kept.append(g)
     exponent = math.lcm(*(action.group.element_order(g) for g in kept)) if kept else 1
     return StabilizerResult(
@@ -886,17 +885,24 @@ def equivariant_evaluation_module(
     part; every other basis tensor acts by zero. rho lists one matrix per
     vector of the Lie bases of those characters' pieces, in character order
     (fixed_subalgebra_basis). The compatibility identity is checked on all
-    pairs of basis tensors.
+    pairs of basis tensors. The action is linear and [x (x) a, y (x) b] =
+    [x, y] (x) ab, so the bracket of basis tensors p and q, which the
+    bracket table expands as sum_r c_pq^r (basis tensor r), acts by
+    sum_r c_pq^r M_r.
     """
     ring = ema.ring
     stab = ideal_stabilizer(ema.algebra_act, m)
     allowed = {
         chi.exponents for chi in characters_trivial_on(ema.group, stab.elements)
     }
-    sub_basis = [
-        x for piece in ema.pieces if piece.character.exponents in allowed
-        for x in piece.lie_basis
-    ]
+    # the Lie part of a basis tensor in an acting piece is itself a vector of
+    # the fixed subalgebra's basis; slot gives its place there, so no solve
+    slot = {}
+    for piece_idx, piece in enumerate(ema.pieces):
+        if piece.character.exponents in allowed:
+            for x in piece.lie_basis:
+                slot[piece_idx, x] = len(slot)
+    sub_basis = [x for _, x in slot]
     rho = tuple(_promote_matrix(mat, ring) for mat in rho)
     if len(rho) != len(sub_basis):
         raise EquivariantDataError(
@@ -909,49 +915,37 @@ def equivariant_evaluation_module(
     else:
         module_dim = 0
 
-    sub_span = _vectors_matrix(sub_basis, ema.lie.dim, ring)
-
-    def rho_of(x) -> ExactMatrix:
-        sol = solve_affine(sub_span, x)
-        if not sol.is_consistent:
-            raise EquivariantDataError("vector leaves the fixed subalgebra")
-        return _combination(sol.particular, rho, module_dim, ring)
-
     if validate_module:
-        for i, x in enumerate(sub_basis):
-            for j, y in enumerate(sub_basis):
-                br = ema.lie.bracket(x, y)
-                lhs = rho_of(br)
-                rhs = rho[i] @ rho[j] - rho[j] @ rho[i]
-                if lhs != rhs:
-                    raise AxiomError(
-                        f"the supplied action is not a module over the fixed "
-                        f"subalgebra: bracket of basis vectors {i} and {j}"
-                    )
+        sub_span = _vectors_matrix(sub_basis, ema.lie.dim, ring)
+        brackets = [ema.lie.bracket(x, y) for x in sub_basis for y in sub_basis]
+        for k, sol in enumerate(solve_each(sub_span, brackets)):
+            i, j = divmod(k, len(sub_basis))
+            if not sol.is_consistent:
+                raise EquivariantDataError("vector leaves the fixed subalgebra")
+            lhs = _combination(sol.particular, rho, module_dim, ring)
+            if lhs != rho[i] @ rho[j] - rho[j] @ rho[i]:
+                raise AxiomError(
+                    f"the supplied action is not a module over the fixed "
+                    f"subalgebra: bracket of basis vectors {i} and {j}"
+                )
 
-    def action_of(piece_char: Character, x, a) -> ExactMatrix:
-        if piece_char.exponents not in allowed:
-            return ExactMatrix.zeros(module_dim, module_dim, ring)
-        scalar = m.ev_value(a)
-        if not scalar:
-            return ExactMatrix.zeros(module_dim, module_dim, ring)
-        return rho_of(x).scale(scalar)
-
+    zero = ExactMatrix.zeros(module_dim, module_dim, ring)
     matrices = []
     for piece_idx, x, a in ema.basis:
-        matrices.append(action_of(ema.pieces[piece_idx].character, x, a))
+        index = slot.get((piece_idx, x))
+        scalar = m.ev_value(a)
+        matrices.append(rho[index].scale(scalar) if index is not None and scalar else zero)
+    if ema.bracket_table is None:
+        raise EquivariantDataError(
+            "the fixed-point bracket is not closed: the actions do not respect the products"
+        )
     report = []
-    for p, (pi, x, a) in enumerate(ema.basis):
-        for q, (qi, y, b) in enumerate(ema.basis):
-            chi_p = ema.pieces[pi].character
-            chi_q = ema.pieces[qi].character
-            lhs = matrices[p] @ matrices[q] - matrices[q] @ matrices[p]
-            rhs = action_of(
-                chi_p * chi_q, ema.lie.bracket(x, y), ema.algebra.multiply(a, b)
-            )
-            ok = lhs == rhs
-            residual = None if ok else (lhs - rhs).pretty()
-            report.append(report_entry(f"COMPAT({p},{q})", ok, residual))
+    for p, q in itertools.product(range(len(matrices)), repeat=2):
+        lhs = matrices[p] @ matrices[q] - matrices[q] @ matrices[p]
+        rhs = _combination(ema.bracket_table[p][q], matrices, module_dim, ring)
+        ok = lhs == rhs
+        residual = None if ok else (lhs - rhs).pretty()
+        report.append(report_entry(f"COMPAT({p},{q})", ok, residual))
     return EvaluationModuleResult(
         ema,
         m,

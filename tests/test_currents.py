@@ -403,6 +403,33 @@ def test_mismatched_points_leave_only_the_zero_map(gl, nat):
     assert f.is_zero()
 
 
+@pytest.mark.parametrize("bound", [0, 1, 2])
+def test_so_adjoint_evaluation_endomorphisms_are_the_scalars(bound):
+    """The adjoint of so(3) is irreducible, so at delta = 3 its only
+    endomorphisms are the scalars. The carrier is an idempotent on ss, so
+    without the rows that make a map absorb the idempotents the three
+    matchings would all be free."""
+    V = evaluation_module(1, adjoint_module(unoriented_so_object()))
+    result = current_morphism_space(V, V, bound, delta=3)
+    assert len(result.basis_diagrams) == 3
+    assert result.affine_dimension == 1
+
+
+@pytest.mark.parametrize("bound, dim", [(0, 1), (1, 0), (2, 0)])
+def test_evaluations_at_two_points_share_only_degree_zero_maps(nat, bound, dim):
+    """A map f from evaluation at 1 to evaluation at 2 commutes with the
+    degree-n actions a^n A and b^n A; at n = 1 that leaves (a - b) f A = 0,
+    and A is not zero, so f = 0 once degree one is checked."""
+    V, W = evaluation_module(1, nat), evaluation_module(2, nat)
+    assert current_morphism_space(V, W, bound, delta=2).affine_dimension == dim
+
+
+def test_identity_between_evaluation_points_fails_at_the_top_degree(nat):
+    V, W = evaluation_module(1, nat), evaluation_module(2, nat)
+    report = current_morphism_report(kar_identity(V.carrier), V, W, 1)
+    assert [entry["status"] for entry in report] == ["pass", "fail"]
+
+
 def test_preimage_space_pins_the_antisymmetrizer_correction(gl):
     base = canonical_module(gl, "uuu")
     idm = identity(word("uuu"))

@@ -4,6 +4,7 @@ from __future__ import annotations
 import importlib.util
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -38,8 +39,22 @@ from curcat.equivariant import (
     truncated_polynomial_algebra,
     twisted_evaluation_zero_check,
 )
-from curcat.exact import CycloNumber, ExactMatrix, matrix_from_columns
-from curcat.lie import AxiomError
+from curcat.equivariant import (
+    _combination,
+    _promote_action,
+    _promote_matrix,
+    _promote_scalar,
+    _vectors_matrix,
+)
+from curcat.exact import (
+    CycloNumber,
+    ExactMatrix,
+    matrix_from_columns,
+    rank,
+    solve_affine,
+    solve_each,
+)
+from curcat.lie import AxiomError, report_entry
 
 ORACLES = Path(__file__).parent / "oracles"
 
@@ -617,7 +632,11 @@ def test_fixed_point_algebra_dimension_and_closure(bundle, oracle):
 
 def test_fixed_point_bracket_table_reconstructs_brackets(bundle):
     ema = bundle["fixed_algebra"]
-    vecs = ema.basis_vectors()
+
+    def kron(x, a):
+        return tuple(xi * aj for xi in x for aj in a)
+
+    vecs = [kron(x, a) for _, x, a in ema.basis]
     for i, (_, x, a) in enumerate(ema.basis):
         for j, (_, y, b) in enumerate(ema.basis):
             coeffs = ema.bracket_table[i][j]
@@ -625,7 +644,7 @@ def test_fixed_point_bracket_table_reconstructs_brackets(bundle):
             for c, v in zip(coeffs, vecs):
                 for t, entry in enumerate(v):
                     combo[t] += c * entry
-            assert tuple(combo) == ema.bracket_of_simple_tensors(x, a, y, b)
+            assert tuple(combo) == kron(ema.lie.bracket(x, y), ema.algebra.multiply(a, b))
 
 
 def test_fixed_point_algebra_over_trivial_group():
@@ -720,6 +739,20 @@ def test_stabilizer_trivial_when_ideal_moves(oracle):
     assert stab.is_full is oracle["stab_qt2minus1_ideal_tminus1_preserved"]
     assert stab.is_trivial
     assert stab.elements == ((0,),)
+
+
+def test_stabilizer_of_a_two_dimensional_moved_ideal_is_trivial():
+    """Q[t]/(t^3 - t) with t -> -t: the flip sends the point t = 1 to t = -1,
+    so the ideal of t = 1 (basis t - 1, t^2 - 1) is moved, while the ideal
+    of t = 0 is kept by the whole group. The flip keeps t^2 - 1 and moves
+    t - 1 alone, so a test of one basis vector, or of the t^2 entry of the
+    evaluation row alone, would keep the flip."""
+    algebra = polynomial_quotient_algebra([0, -1, 0])
+    action = algebra_action(Z2, algebra, [ExactMatrix.from_rows([[1, 0, 0], [0, -1, 0], [0, 0, 1]])])
+    at_one = ideal_stabilizer(action, max_ideal(algebra, [(-1, 1, 0), (-1, 0, 1)]))
+    assert at_one.elements == ((0,),) and at_one.is_trivial
+    at_zero = ideal_stabilizer(action, max_ideal(algebra, [(0, 1, 0), (0, 0, 1)]))
+    assert at_zero.elements == ((0,), (1,)) and at_zero.is_full
 
 
 def test_twisted_evaluation_kills_the_moving_slice(qt4_negation, oracle):
@@ -830,6 +863,260 @@ def test_module_matrix_count_is_checked():
     ema, ideal, rho = trivial_group_natural_setup()
     with pytest.raises(EquivariantDataError, match="need 3 action matrices, got 2"):
         equivariant_evaluation_module(ema, ideal, rho[:2])
+
+
+def test_unclosed_fixed_point_bracket_has_no_module_report():
+    """h -> -h alone does not respect the bracket, so it is only a group
+    action; the fixed points span(e, f) (x) A are not closed ([e, f] = h)."""
+    lie, algebra = sl2(), truncated_polynomial_algebra(2)
+    ema = equivariant_map_algebra(
+        lie,
+        algebra,
+        group_action(Z2, [ExactMatrix.from_rows([[1, 0, 0], [0, -1, 0], [0, 0, 1]])]),
+        algebra_action(Z2, algebra, [ExactMatrix.identity(2)]),
+    )
+    assert ema.bracket_table is None
+    ideal = max_ideal(algebra, [(0, 1)])
+    rho = [ExactMatrix.identity(1), ExactMatrix.identity(1)]
+    with pytest.raises(EquivariantDataError, match="leaves the fixed subalgebra"):
+        equivariant_evaluation_module(ema, ideal, rho)
+    with pytest.raises(EquivariantDataError, match="bracket is not closed"):
+        equivariant_evaluation_module(ema, ideal, rho, validate_module=False)
+
+
+# ---------------------------------------------------------------------------
+# answers read off stored data, against the constructions they replaced
+
+
+def _reference_fixed_point_rank(ema) -> int:
+    """The rank of the fixed-point projector of the diagonal action on
+    g (x) A, whose generators are Kronecker products."""
+    group = ema.group
+    if not group.factors:
+        return ema.lie.dim * ema.algebra.dim
+    gens = [
+        _promote_matrix(l_gen, ema.ring).kron(_promote_matrix(a_gen, ema.ring))
+        for l_gen, a_gen in zip(ema.lie_act.generators, ema.algebra_act.generators)
+    ]
+    diag = group_action(group, gens)
+    return rank(isotypic_projector(diag, Character(group, group.identity)))
+
+
+def _reference_stabilizer(action, m) -> tuple:
+    """The elements that move every ideal basis vector into the ideal span,
+    with one elimination per element."""
+    promoted = _promote_action(action, m.algebra.ring)
+    ring = promoted.ring
+    vecs = [tuple(_promote_scalar(c, ring) for c in v) for v in m.basis]
+    span = _vectors_matrix(vecs, m.algebra.dim, ring)
+    return tuple(
+        g
+        for g in action.group.elements()
+        if all(
+            sol.is_consistent
+            for sol in solve_each(span, [promoted.transform(g, v) for v in vecs])
+        )
+    )
+
+
+def _reference_evaluation_module(ema, m, rho, validate_module):
+    """The evaluation module with one solve per vector, each compatibility
+    pair evaluating its bracket and product again."""
+    ring = ema.ring
+    stab = _reference_stabilizer(ema.algebra_act, m)
+    allowed = {chi.exponents for chi in characters_trivial_on(ema.group, stab)}
+    sub_basis = [
+        x for piece in ema.pieces if piece.character.exponents in allowed
+        for x in piece.lie_basis
+    ]
+    rho = tuple(_promote_matrix(mat, ring) for mat in rho)
+    if len(rho) != len(sub_basis):
+        raise EquivariantDataError(f"need {len(sub_basis)} action matrices, got {len(rho)}")
+    module_dim = rho[0].rows if rho else 0
+    sub_span = _vectors_matrix(sub_basis, ema.lie.dim, ring)
+
+    def rho_of(x):
+        sol = solve_affine(sub_span, x)
+        if not sol.is_consistent:
+            raise EquivariantDataError("vector leaves the fixed subalgebra")
+        return _combination(sol.particular, rho, module_dim, ring)
+
+    if validate_module:
+        for i, x in enumerate(sub_basis):
+            for j, y in enumerate(sub_basis):
+                if rho_of(ema.lie.bracket(x, y)) != rho[i] @ rho[j] - rho[j] @ rho[i]:
+                    raise AxiomError(
+                        f"the supplied action is not a module over the fixed "
+                        f"subalgebra: bracket of basis vectors {i} and {j}"
+                    )
+
+    def action_of(chi, x, a):
+        scalar = m.ev_value(a)
+        if chi.exponents not in allowed or not scalar:
+            return ExactMatrix.zeros(module_dim, module_dim, ring)
+        return rho_of(x).scale(scalar)
+
+    matrices = [action_of(ema.pieces[pi].character, x, a) for pi, x, a in ema.basis]
+    report = []
+    for p, (pi, x, a) in enumerate(ema.basis):
+        for q, (qi, y, b) in enumerate(ema.basis):
+            lhs = matrices[p] @ matrices[q] - matrices[q] @ matrices[p]
+            rhs = action_of(
+                ema.pieces[pi].character * ema.pieces[qi].character,
+                ema.lie.bracket(x, y),
+                ema.algebra.multiply(a, b),
+            )
+            ok = lhs == rhs
+            report.append(report_entry(f"COMPAT({p},{q})", ok, None if ok else (lhs - rhs).pretty()))
+    return matrices, report
+
+
+def _module_outcome(build, *args):
+    """The matrices and report text of an evaluation module, or the
+    exception it raised."""
+    try:
+        matrices, report = build(*args)
+    except (AxiomError, EquivariantDataError) as exc:
+        return type(exc).__name__, str(exc)
+    return [(mat.ring.name, str(mat.entries)) for mat in matrices], str(list(report))
+
+
+def _module_parts(ema, m, rho, validate_module):
+    module = equivariant_evaluation_module(ema, m, rho, validate_module)
+    return module.matrices, module.report
+
+
+def _assert_matches_references(ema, ideal, rho, validate_module=True):
+    """Fixed-point rank, stabilizer and evaluation module against the
+    references; returns the module outcome."""
+    assert ema.fixed_point_rank == _reference_fixed_point_rank(ema)
+    assert ideal_stabilizer(ema.algebra_act, ideal).elements == _reference_stabilizer(
+        ema.algebra_act, ideal
+    )
+    got = _module_outcome(_module_parts, ema, ideal, rho, validate_module)
+    assert got == _module_outcome(_reference_evaluation_module, ema, ideal, rho, validate_module)
+    return got
+
+
+def _root(m: int, power: int):
+    return Fraction(-1) ** (power % m) if m <= 2 else CycloNumber.zeta(m, power)
+
+
+def _diagonal(m: int, values) -> ExactMatrix:
+    zero = Fraction(0) if m <= 2 else CycloNumber.zero(m)
+    return ExactMatrix.from_rows(
+        [[v if i == j else zero for j in range(len(values))] for i, v in enumerate(values)]
+    )
+
+
+def _root_ideal(algebra, point) -> tuple:
+    """The ideal of t = point in Q[t]/(f): basis t^k - point^k."""
+    n = algebra.dim
+    return tuple(
+        tuple([-Fraction(point) ** k] + [int(j == k) for j in range(1, n)]) for k in range(1, n)
+    )
+
+
+def test_cyclic_family_matches_the_references():
+    """Z_m acts on sl2 by e -> z^a e, f -> z^-a f and on Q(z)[t]/(t^d) by
+    t -> z^b t, with a and b seeded units modulo m."""
+    rng = random.Random(28)
+    lie = sl2()
+    for m, d in itertools.product((2, 3, 4, 6), (3, 4, 5)):
+        units = [u for u in range(1, m) if math.gcd(u, m) == 1]
+        a, b, c = rng.choice(units), rng.choice(units), rng.choice((1, 2, 3, -1))
+        group = FiniteAbelianGroup((m,))
+        lie_act = lie_action(group, lie, [_diagonal(m, [_root(m, a), _root(m, 0), _root(m, -a)])])
+        algebra = truncated_polynomial_algebra(d, m)
+        algebra_act = algebra_action(group, algebra, [_diagonal(m, [_root(m, b * k) for k in range(d)])])
+        ideal = max_ideal(algebra, [tuple(int(k == j) for k in range(d)) for j in range(1, d)])
+        ema = equivariant_map_algebra(lie, algebra, lie_act, algebra_act)
+        _assert_matches_references(ema, ideal, [ExactMatrix.from_rows([[c, 0], [0, -c]])])
+        # the pairs (sl2 weight, power of t) whose characters cancel
+        assert ema.fixed_point_rank == sum(
+            (w + b * k) % m == 0 for w in (a, 0, -a) for k in range(d)
+        )
+
+
+def test_klein_four_action_with_off_diagonal_generators_matches_the_references():
+    """Z2 x Z2 acts on sl2 by e, f -> -e, -f and by the flip e <-> f,
+    h -> -h, and on Q[t]/(t^4 - 1) by t -> -t and t -> t^3. The ideal of
+    t = 1 is kept by t -> t^3 alone; the ideal of t = -1 likewise."""
+    group = FiniteAbelianGroup((2, 2))
+    lie = sl2()
+    flip = ExactMatrix.from_rows([[0, 0, 1], [0, -1, 0], [1, 0, 0]])
+    lie_act = lie_action(group, lie, [ExactMatrix.from_rows([[-1, 0, 0], [0, 1, 0], [0, 0, -1]]), flip])
+    algebra = polynomial_quotient_algebra([-1, 0, 0, 0])
+    negate = ExactMatrix.from_rows([[(-1) ** i if i == j else 0 for j in range(4)] for i in range(4)])
+    cube = ExactMatrix.from_rows([[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]])
+    algebra_act = algebra_action(group, algebra, [negate, cube])
+    ema = equivariant_map_algebra(lie, algebra, lie_act, algebra_act)
+    # (1/4)(3*4 + (-1)(2) + (-1)(0) + (-1)(2)): traces of L_g and A_g
+    assert ema.fixed_point_rank == 2 == ema.dimension
+    for point in (1, -1):
+        ideal = max_ideal(algebra, _root_ideal(algebra, point))
+        assert ideal_stabilizer(algebra_act, ideal).elements == ((0, 0), (0, 1))
+        _assert_matches_references(ema, ideal, [ExactMatrix.from_rows([[1, 2], [0, 1]])])
+
+
+def test_trivial_group_matches_the_references():
+    ema, ideal, rho = trivial_group_natural_setup()
+    assert _reference_fixed_point_rank(ema) == ema.fixed_point_rank == 6
+    _assert_matches_references(ema, ideal, rho)
+
+
+@pytest.fixture(scope="module")
+def root_ideal_cases() -> list:
+    """sl2 under the flip tensored with Q[t]/(t^3 - t) and with
+    Q[t]/((t^2 - 1)(t^2 - 4)) under t -> -t, with every root ideal."""
+    lie = sl2()
+    flip = ExactMatrix.from_rows([[0, 0, 1], [0, -1, 0], [1, 0, 0]])
+    lie_act = lie_action(Z2, lie, [flip])
+    cases = []
+    for modulus, roots in (([0, -1, 0], (0, 1, -1)), ([4, 0, -5, 0], (1, -1, 2, -2))):
+        algebra = polynomial_quotient_algebra(modulus)
+        negate = ExactMatrix.from_rows(
+            [[(-1) ** i if i == j else 0 for j in range(algebra.dim)] for i in range(algebra.dim)]
+        )
+        algebra_act = algebra_action(Z2, algebra, [negate])
+        ema = equivariant_map_algebra(lie, algebra, lie_act, algebra_act)
+        for point in roots:
+            cases.append((ema, max_ideal(algebra, _root_ideal(algebra, point)), point))
+    return cases
+
+
+def test_root_ideals_match_the_references(root_ideal_cases):
+    # the natural 2x2 action of e + f, e - f and h, in the flip's slice order
+    natural = [
+        ExactMatrix.from_rows(rows)
+        for rows in ([[0, 1], [1, 0]], [[0, 1], [-1, 0]], [[1, 0], [0, -1]])
+    ]
+    for ema, ideal, point in root_ideal_cases:
+        stab = ideal_stabilizer(ema.algebra_act, ideal)
+        assert stab.is_full is (point == 0)
+        count = 1 if point == 0 else 3  # the flip's fixed line e + f, or all of sl2
+        outcome = _assert_matches_references(ema, ideal, natural[:count])
+        assert "fail" not in outcome[1]
+
+
+def test_seeded_non_module_actions_match_the_references(root_ideal_cases):
+    """Seeded 2x2 matrices on the whole of sl2, which are rarely a module:
+    the report, with validation off, and the exception, with it on."""
+    rng = random.Random(29)
+    cases = [(ema, ideal) for ema, ideal, point in root_ideal_cases if point != 0]
+    cases.append(trivial_group_natural_setup()[:2])
+    failing = 0
+    for draw in range(36):
+        ema, ideal = cases[draw % len(cases)]
+        rho = [
+            ExactMatrix.from_rows([[rng.choice((-1, 0, 1, 2)) for _ in range(2)] for _ in range(2)])
+            for _ in range(3)
+        ]
+        outcome = _assert_matches_references(ema, ideal, rho, validate_module=False)
+        failing += "fail" in outcome[1]
+        if draw % 3 == 0:
+            _assert_matches_references(ema, ideal, rho)
+    assert failing >= 30
 
 
 # ---------------------------------------------------------------------------
